@@ -5,7 +5,7 @@ and content trees with ascribed sources, allocate ids, wire xrefs, and
 assemble everything inside one semantics-bearing math element.
 """
 
-from .ascription import AscriptionContext, ascribe
+from .ascription import ascribe
 from .cmml import (
     ExpansionRule,
     MeaningTable,
@@ -59,7 +59,6 @@ from .visibility import VisibilityMap, mark_visibility
 __version__ = "0.1.0"
 
 __all__ = [
-    "AscriptionContext",
     "AscriptionRegistry",
     "ArityMismatchError",
     "Branch",

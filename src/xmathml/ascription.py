@@ -9,38 +9,25 @@ decides between the operator they manifest and the enclosing dual.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .model import Branch, XMathDocument, XMathNode
+from .errors import ReferenceCycleError
+from .mml import TargetNode
+from .model import Branch, NodeKind, XMathDocument, XMathNode
 from .visibility import VisibilityMap
 
-_UNSET = object()
 
-
-@dataclass
-class AscriptionContext:
-    """State for one ascription decision.
+def ascribe(
+    doc: XMathDocument,
+    vis: VisibilityMap,
+    current: XMathNode,
+    container: XMathNode | None,
+    target_is_container: bool,
+) -> XMathNode:
+    """Pick the source node for one generated target. Total and pure.
 
     ``current`` is the XMath node that directly generated the target.
     ``container`` is the innermost dual on the generation walk's path;
     when a ref was followed, that is the dual enclosing the ref, not the
-    one physically enclosing the referenced node. If not supplied, the
-    physical ancestor is used.
-    """
-
-    doc: XMathDocument
-    vis: VisibilityMap
-    current: XMathNode
-    branch: Branch
-    container: XMathNode | None = _UNSET  # type: ignore[assignment]
-
-    def __post_init__(self) -> None:
-        if self.container is _UNSET:
-            self.container = self.doc.nearest_dual_ancestor(self.current)
-
-
-def ascribe(ctx: AscriptionContext, target_is_container: bool) -> XMathNode:
-    """Pick the source node for one generated target. Total and pure.
+    one physically enclosing the referenced node.
 
     Containers belong to the notation as a whole: they are ascribed to the
     enclosing dual when there is one. A token visible in both branches is
@@ -49,14 +36,63 @@ def ascribe(ctx: AscriptionContext, target_is_container: bool) -> XMathNode:
     or for the dual itself.
     """
     if target_is_container:
-        if ctx.container is not None:
-            return ctx.container
-        return ctx.current
-    if ctx.vis.both_visible(ctx.current):
-        return ctx.current
-    if ctx.container is not None:
-        operator = ctx.doc.top_operator(ctx.container, Branch.CONTENT)
-        if operator is not None and not ctx.vis.presentation_visible(operator):
+        if container is not None:
+            return container
+        return current
+    if vis.both_visible(current):
+        return current
+    if container is not None:
+        operator = doc.top_operator(container, Branch.CONTENT)
+        if operator is not None and not vis.presentation_visible(operator):
             return operator
-        return ctx.container
-    return ctx.current
+        return container
+    return current
+
+
+class BranchWalk:
+    """Generation walk over one branch of the XMath tree.
+
+    Duals descend into the walk's own branch and become the container of
+    their subtree. Refs are chased to their targets, with the ref's own
+    container kept in force, and a ref met again on the current path
+    raises ReferenceCycleError. Subclasses set ``branch`` and supply
+    ``token`` (a token's unascribed element), ``wrap`` and ``apply``.
+    """
+
+    branch: Branch
+
+    def __init__(self, doc: XMathDocument, vis: VisibilityMap):
+        self.doc = doc
+        self.vis = vis
+        self._active_refs: set[int] = set()
+
+    def target(
+        self,
+        built: TargetNode,
+        current: XMathNode,
+        container: XMathNode | None,
+        is_container: bool,
+    ) -> TargetNode:
+        """Record the ascribed source, branch and origin on ``built``."""
+        built.source = ascribe(self.doc, self.vis, current, container, is_container)
+        built.branch = self.branch
+        built.origin = current
+        return built
+
+    def walk(self, node: XMathNode, container: XMathNode | None) -> TargetNode:
+        kind = node.kind
+        if kind is NodeKind.DUAL:
+            return self.walk(node.children[self.branch], node)
+        if kind is NodeKind.REF:
+            if node.index in self._active_refs:
+                raise ReferenceCycleError("reference cycle via idref", node)
+            self._active_refs.add(node.index)
+            try:
+                return self.walk(self.doc.resolve_ref(node), container)
+            finally:
+                self._active_refs.discard(node.index)
+        if kind is NodeKind.TOK:
+            return self.target(self.token(node), node, container, False)
+        if kind is NodeKind.WRAP:
+            return self.wrap(node, container)
+        return self.apply(node, container)

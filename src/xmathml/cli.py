@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from .cmml import MeaningTable, load_expansion_table
@@ -16,18 +15,6 @@ from .parser import parse_xmath, read_xml_tree
 from .serializer import EntityMode, SerializeOptions, serialize_mathml
 
 MODES = ("pmml", "cmml", "parallel", "check")
-
-
-@dataclass
-class CliConfig:
-    input_path: str
-    mode: str = "parallel"
-    output_path: str = "-"
-    tex: str | None = None
-    display: str | None = None
-    expansions: str | None = None
-    pretty: bool = False
-    numeric_entities: bool = False
 
 
 def _read_input(path: str) -> str:
@@ -47,20 +34,23 @@ def _write_output(path: str, text: str) -> None:
         Path(path).write_text(text, encoding="utf-8")
 
 
-def _load_table(config: CliConfig) -> MeaningTable:
+def _load_table(args: argparse.Namespace) -> MeaningTable:
     table = MeaningTable.default()
-    if config.expansions:
-        rules = load_expansion_table(Path(config.expansions).read_text("utf-8"))
+    if args.expansions:
+        rules = load_expansion_table(Path(args.expansions).read_text("utf-8"))
         table = table.extended(rules)
     return table
 
 
-def run(config: CliConfig) -> int:
-    """Execute one conversion. 0 on success, 1 on link violations, 2 on errors."""
-    name = "<stdin>" if config.input_path == "-" else config.input_path
+def run(args: argparse.Namespace) -> int:
+    """Execute one conversion. 0 on success, 1 on link violations, 2 on errors.
+
+    ``args`` is the namespace that the command-line parser produces.
+    """
+    name = "<stdin>" if args.input == "-" else args.input
     try:
-        text = _read_input(config.input_path)
-        if config.mode == "check":
+        text = _read_input(args.input)
+        if args.mode == "check":
             math = target_from_raw(read_xml_tree(text))
             report = check_links(math)
             for line in report.lines():
@@ -68,17 +58,17 @@ def run(config: CliConfig) -> int:
             return 0 if report.ok else 1
 
         doc = parse_xmath(text)
-        if config.mode == "parallel":
+        if args.mode == "parallel":
             math = build_parallel(
                 doc,
-                tex=config.tex,
-                display=config.display,
-                table=_load_table(config),
+                tex=args.tex,
+                display=args.display,
+                table=_load_table(args),
             )
-        elif config.mode == "pmml":
-            math = build_presentation(doc, display=config.display)
+        elif args.mode == "pmml":
+            math = build_presentation(doc, display=args.display)
         else:
-            math = build_content(doc, table=_load_table(config))
+            math = build_content(doc, table=_load_table(args))
     except ParseError as exc:
         print(f"{name}:{exc.line}:{exc.col}: error: {exc.detail}", file=sys.stderr)
         return 2
@@ -93,15 +83,15 @@ def run(config: CliConfig) -> int:
         return 2
 
     options = SerializeOptions(
-        pretty=config.pretty,
+        pretty=args.pretty,
         entity_mode=(
-            EntityMode.NUMERIC_REFS if config.numeric_entities else EntityMode.UTF8
+            EntityMode.NUMERIC_REFS if args.numeric_entities else EntityMode.UTF8
         ),
     )
     try:
-        _write_output(config.output_path, serialize_mathml(math, options))
+        _write_output(args.out, serialize_mathml(math, options))
     except OSError as exc:
-        print(f"{config.output_path}: error: {exc}", file=sys.stderr)
+        print(f"{args.out}: error: {exc}", file=sys.stderr)
         return 2
     return 0
 
@@ -140,18 +130,7 @@ def _build_argparser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_argparser().parse_args(argv)
-    config = CliConfig(
-        input_path=args.input,
-        mode=args.mode,
-        output_path=args.out,
-        tex=args.tex,
-        display=args.display,
-        expansions=args.expansions,
-        pretty=args.pretty,
-        numeric_entities=args.numeric_entities,
-    )
-    return run(config)
+    return run(_build_argparser().parse_args(argv))
 
 
 if __name__ == "__main__":

@@ -14,13 +14,8 @@ import re
 from dataclasses import dataclass
 from typing import Mapping
 
-from .ascription import AscriptionContext, ascribe
-from .errors import (
-    ArityMismatchError,
-    ContentWrapError,
-    MalformedApplyError,
-    ReferenceCycleError,
-)
+from .ascription import BranchWalk
+from .errors import ArityMismatchError, ContentWrapError, MalformedApplyError
 from .glyphs import is_greek_capital, script_form
 from .mml import TargetNode
 from .model import Branch, NodeKind, XMathDocument, XMathNode
@@ -205,59 +200,23 @@ def gen_cmml(
     return _Walk(doc, vis, table or MeaningTable.default()).walk(doc.root, None)
 
 
-class _Walk:
+class _Walk(BranchWalk):
+    branch = Branch.CONTENT
+
     def __init__(self, doc: XMathDocument, vis: VisibilityMap, table: MeaningTable):
-        self.doc = doc
-        self.vis = vis
+        super().__init__(doc, vis)
         self.table = table
-        self._active_refs: set[int] = set()
 
-    def _ctx(self, current: XMathNode, container: XMathNode | None) -> AscriptionContext:
-        return AscriptionContext(self.doc, self.vis, current, Branch.CONTENT, container)
+    def token(self, tok: XMathNode) -> TargetNode:
+        return token_to_cmml(tok, self.table)
 
-    def _token_target(
-        self, built: TargetNode, current: XMathNode, container: XMathNode | None
-    ) -> TargetNode:
-        built.source = ascribe(self._ctx(current, container), False)
-        built.branch = Branch.CONTENT
-        built.origin = current
-        return built
-
-    def _container(
-        self,
-        element: str,
-        children: list[TargetNode],
-        current: XMathNode,
-        container: XMathNode | None,
-    ) -> TargetNode:
-        node = TargetNode(element, {}, children)
-        node.source = ascribe(self._ctx(current, container), True)
-        node.branch = Branch.CONTENT
-        node.origin = current
-        return node
-
-    def walk(self, node: XMathNode, container: XMathNode | None) -> TargetNode:
-        kind = node.kind
-        if kind is NodeKind.DUAL:
-            return self.walk(node.children[0], node)
-        if kind is NodeKind.REF:
-            if node.index in self._active_refs:
-                raise ReferenceCycleError("reference cycle via idref", node)
-            self._active_refs.add(node.index)
-            try:
-                return self.walk(self.doc.resolve_ref(node), container)
-            finally:
-                self._active_refs.discard(node.index)
-        if kind is NodeKind.TOK:
-            return self._token_target(token_to_cmml(node, self.table), node, container)
-        if kind is NodeKind.WRAP:
-            name = node.attrs.xml_id or f"node {node.index}"
-            raise ContentWrapError(
-                f"XMWrap ({name}) is reachable from the content branch and has "
-                "no content reading",
-                node,
-            )
-        return self.apply(node, container)
+    def wrap(self, node: XMathNode, container: XMathNode | None) -> TargetNode:
+        name = node.attrs.xml_id or f"node {node.index}"
+        raise ContentWrapError(
+            f"XMWrap ({name}) is reachable from the content branch and has "
+            "no content reading",
+            node,
+        )
 
     def apply(self, app: XMathNode, container: XMathNode | None) -> TargetNode:
         if not app.children:
@@ -268,7 +227,7 @@ class _Walk:
             rule = self.table.expansions[op.attrs.meaning]
             return self.expand_pragmatic(rule, app, op, app.children[1:], container)
         children = [self.walk(child, container) for child in app.children]
-        return self._container("apply", children, app, container)
+        return self.target(TargetNode("apply", {}, children), app, container, True)
 
     def expand_pragmatic(
         self,
@@ -295,14 +254,14 @@ class _Walk:
     ) -> TargetNode:
         tag = term[0]
         if tag == "head":
-            return self._token_target(token_to_cmml(op, self.table), op, container)
+            return self.target(self.token(op), op, container, False)
         if tag == "slot":
             return self.walk(args[term[1] - 1], container)
         name, subterms = term[1], term[2]
         if not subterms:
             # A bare element atom is the operator's manifestation, like head.
-            return self._token_target(TargetNode(name), op, container)
+            return self.target(TargetNode(name), op, container, False)
         children = [
             self._instantiate(sub, app, op, args, container) for sub in subterms
         ]
-        return self._container(name, children, app, container)
+        return self.target(TargetNode(name, {}, children), app, container, True)

@@ -69,6 +69,6 @@ class IdCollisionError(ConversionError):
 class DanglingRefError(LookupError):
     """Defensive error: an idref with no matching node reached the model layer.
 
-    The parser rejects such documents up front, so hitting this indicates a
-    hand-built document that violates the invariants.
+    XMathDocument rejects such documents on construction, so hitting this
+    indicates a document whose idrefs were changed afterwards.
     """

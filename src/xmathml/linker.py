@@ -56,13 +56,15 @@ class IdScheme:
 
 @dataclass
 class AscriptionRegistry:
-    """All generated targets grouped by (source, branch), in document order."""
+    """All generated targets grouped by (source, branch), in document order.
 
-    trees: dict[Branch, TargetNode] = field(default_factory=dict)
+    Keys follow first appearance in the order the trees were added;
+    build_registry adds presentation before content.
+    """
+
     targets: dict[tuple[int, Branch], list[TargetNode]] = field(default_factory=dict)
 
     def add_tree(self, root: TargetNode, branch: Branch) -> None:
-        self.trees[branch] = root
         for node in root.iter():
             if node.source is None or node.branch is None:
                 raise ValueError(f"unascribed node {node!r} reached the linker")
@@ -91,33 +93,30 @@ def _suffix_letters(index: int) -> str:
 
 
 def assign_ids(registry: AscriptionRegistry, scheme: IdScheme) -> None:
-    """Set the id attribute on every registered target node."""
+    """Set the id attribute on every registered target node.
+
+    A source's base id is its xml:id, else the next fresh ``prefix.k``;
+    fresh ids are handed out in registry order, so by each source's first
+    appearance.
+    """
     bases: dict[int, str] = {}
     counter = scheme.next_counter
-    for branch in (Branch.PRESENTATION, Branch.CONTENT):
-        root = registry.trees.get(branch)
-        if root is None:
-            continue
-        for node in root.iter():
-            source = node.source
-            if source.index in bases:
-                continue
-            if source.attrs.xml_id is not None:
-                bases[source.index] = source.attrs.xml_id
-            else:
-                bases[source.index] = f"{scheme.prefix}.{counter}"
-                counter += 1
-
-    seen: dict[str, TargetNode] = {}
+    seen: set[str] = set()
     for (source_index, branch), nodes in registry.targets.items():
-        base = bases[source_index]
+        base = bases.get(source_index)
+        if base is None:
+            base = nodes[0].source.attrs.xml_id
+            if base is None:
+                base = f"{scheme.prefix}.{counter}"
+                counter += 1
+            bases[source_index] = base
         for position, node in enumerate(nodes):
             node_id = base + _suffix_letters(position)
             if branch is Branch.CONTENT:
                 node_id += CONTENT_ID_SUFFIX
             if node_id in seen:
                 raise IdCollisionError(f"output id {node_id!r} allocated twice")
-            seen[node_id] = node
+            seen.add(node_id)
             node.attrs["id"] = node_id
 
 

@@ -9,18 +9,6 @@ from .model import Branch, XMathNode
 
 MATHML_NAMESPACE = "http://www.w3.org/1998/Math/MathML"
 
-#: Presentation vocabulary this generator can emit.
-PRESENTATION_ELEMENTS = frozenset(
-    {"math", "mrow", "mi", "mo", "mn", "msub", "msup", "msubsup"}
-)
-
-#: Leaf elements that carry text and no element children.
-TOKEN_ELEMENTS = frozenset({"mi", "mo", "mn", "ci", "csymbol", "annotation"})
-
-#: Assembly wrappers; they get ids but never xrefs.
-WRAPPER_ELEMENTS = frozenset({"math", "semantics", "annotation-xml", "annotation"})
-
-
 @dataclass(eq=False)
 class TargetNode:
     """One generated MathML node, annotated with its ascribed source.
@@ -43,13 +31,6 @@ class TargetNode:
         yield self
         for child in self.children:
             yield from child.iter()
-
-    def find(self, element: str, text: str | None = None) -> "TargetNode | None":
-        """First node in document order matching element (and text, if given)."""
-        for node in self.iter():
-            if node.element == element and (text is None or node.text == text):
-                return node
-        return None
 
     def __repr__(self) -> str:
         bits = [self.element]

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 
-from .errors import DanglingRefError, ReferenceCycleError
+from .errors import DanglingRefError, ParseError, ParseErrorKind, ReferenceCycleError
 
 
 class NodeKind(Enum):
@@ -47,26 +47,6 @@ class Branch(IntEnum):
     @property
     def opposite(self) -> "Branch":
         return Branch(1 - self.value)
-
-
-#: Token roles named by the grammar. Any other string is accepted verbatim
-#: and treated as an unclassified ("other") role.
-KNOWN_ROLES = frozenset(
-    {
-        "ADDOP",
-        "MULOP",
-        "ID",
-        "FUNCTION",
-        "OPEN",
-        "CLOSE",
-        "PUNCT",
-        "UNKNOWN",
-        "INTOP",
-        "DIFFOP",
-        "SUPERSCRIPTOP",
-        "SUBSCRIPTOP",
-    }
-)
 
 
 @dataclass
@@ -112,35 +92,45 @@ class XMathNode:
 
 
 class XMathDocument:
-    """An XMath tree plus its id and parent indexes.
+    """An XMath tree plus its id index, validated on construction.
 
     ``nodes`` lists every node in document order (depth-first, left to
-    right); ``node.index`` is the position in that list.
+    right); ``node.index`` is the position in that list. A repeated
+    xml:id or an idref naming no xml:id raises ParseError at the
+    offending node, whether the tree came from the parser or was built
+    by hand.
     """
 
     def __init__(self, root: XMathNode):
         self.root = root
         self.nodes: list[XMathNode] = []
         self.id_index: dict[str, XMathNode] = {}
-        self.parent_index: dict[XMathNode, XMathNode] = {}
-        self._index(root, None)
+        self._index(root)
         for node in self.nodes:
             idref = node.attrs.idref
             if idref is not None and idref not in self.id_index:
-                raise DanglingRefError(idref)
+                raise ParseError(
+                    ParseErrorKind.DANGLING_IDREF,
+                    node.line,
+                    node.col,
+                    f"idref {idref!r} does not match any xml:id",
+                )
 
-    def _index(self, node: XMathNode, parent: XMathNode | None) -> None:
+    def _index(self, node: XMathNode) -> None:
         node.index = len(self.nodes)
         self.nodes.append(node)
-        if parent is not None:
-            self.parent_index[node] = parent
         xml_id = node.attrs.xml_id
         if xml_id is not None:
             if xml_id in self.id_index:
-                raise ValueError(f"duplicate xml:id {xml_id!r}")
+                raise ParseError(
+                    ParseErrorKind.DUPLICATE_ID,
+                    node.line,
+                    node.col,
+                    f"duplicate xml:id {xml_id!r}",
+                )
             self.id_index[xml_id] = node
         for child in node.children:
-            self._index(child, node)
+            self._index(child)
 
     def resolve_ref(self, ref_node: XMathNode) -> XMathNode:
         """Resolve an XMRef one step, to the node carrying its idref as xml:id."""
@@ -160,15 +150,6 @@ class XMathDocument:
             seen.add(node.index)
             node = self.resolve_ref(node)
         return node
-
-    def nearest_dual_ancestor(self, node: XMathNode) -> XMathNode | None:
-        """Closest strict ancestor XMDual, by physical structure (not refs)."""
-        current = self.parent_index.get(node)
-        while current is not None:
-            if current.kind is NodeKind.DUAL:
-                return current
-            current = self.parent_index.get(current)
-        return None
 
     def top_operator(self, dual: XMathNode, branch: Branch) -> XMathNode | None:
         """Top-most operator applied within one branch of a dual.

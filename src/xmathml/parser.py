@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 from .errors import ParseError, ParseErrorKind
 from .model import ELEMENT_KINDS, NodeKind, SemanticAttrs, XMathDocument, XMathNode
+from .serializer import escape_attr, escape_text
 
 #: Wrapper elements tolerated around the actual XMath root.
 WRAPPER_ELEMENTS = frozenset({"Math", "XMath"})
@@ -225,112 +226,76 @@ def _unwrap(raw: RawElement) -> RawElement:
     return raw
 
 
-class _Builder:
-    def __init__(self) -> None:
-        self.ids: dict[str, tuple[int, int]] = {}
-        self.refs: list[tuple[str, int, int]] = []
+def _build(raw: RawElement) -> XMathNode:
+    kind = ELEMENT_KINDS.get(raw.local)
+    if kind is None:
+        raise ParseError(
+            ParseErrorKind.UNKNOWN_ELEMENT,
+            raw.line,
+            raw.col,
+            f"unknown element {raw.name!r}",
+        )
+    attrs = _convert_attrs(raw)
+    node = XMathNode(kind, attrs=attrs, line=raw.line, col=raw.col)
 
-    def build(self, raw: RawElement) -> XMathNode:
-        kind = ELEMENT_KINDS.get(raw.local)
-        if kind is None:
-            raise ParseError(
-                ParseErrorKind.UNKNOWN_ELEMENT,
-                raw.line,
-                raw.col,
-                f"unknown element {raw.name!r}",
-            )
-        attrs = _convert_attrs(raw)
-        node = XMathNode(kind, attrs=attrs, line=raw.line, col=raw.col)
-
-        if attrs.xml_id is not None:
-            if attrs.xml_id in self.ids:
-                raise ParseError(
-                    ParseErrorKind.DUPLICATE_ID,
-                    raw.line,
-                    raw.col,
-                    f"duplicate xml:id {attrs.xml_id!r}",
-                )
-            self.ids[attrs.xml_id] = (raw.line, raw.col)
-
-        if kind is NodeKind.TOK:
-            if raw.children:
-                child = raw.children[0]
-                raise ParseError(
-                    ParseErrorKind.MALFORMED_XML,
-                    child.line,
-                    child.col,
-                    "XMTok cannot contain child elements",
-                )
-            node.text = raw.text
-            return node
-
-        bad = raw.nonspace_chunk()
-        if bad is not None:
+    if kind is NodeKind.TOK:
+        if raw.children:
+            child = raw.children[0]
             raise ParseError(
                 ParseErrorKind.MALFORMED_XML,
-                bad[1],
-                bad[2],
-                f"text content not allowed inside {raw.local}",
+                child.line,
+                child.col,
+                "XMTok cannot contain child elements",
             )
+        node.text = raw.text
+        return node
 
-        if kind is NodeKind.REF:
-            if raw.children:
-                raise ParseError(
-                    ParseErrorKind.MALFORMED_XML,
-                    raw.line,
-                    raw.col,
-                    "XMRef cannot contain child elements",
-                )
-            if attrs.idref is None:
-                raise ParseError(
-                    ParseErrorKind.MALFORMED_XML,
-                    raw.line,
-                    raw.col,
-                    "XMRef requires an idref attribute",
-                )
-            self.refs.append((attrs.idref, raw.line, raw.col))
-            return node
+    bad = raw.nonspace_chunk()
+    if bad is not None:
+        raise ParseError(
+            ParseErrorKind.MALFORMED_XML,
+            bad[1],
+            bad[2],
+            f"text content not allowed inside {raw.local}",
+        )
 
-        node.children = [self.build(child) for child in raw.children]
-
-        if kind is NodeKind.DUAL and len(node.children) != 2:
+    if kind is NodeKind.REF:
+        if raw.children:
             raise ParseError(
-                ParseErrorKind.DUAL_ARITY,
+                ParseErrorKind.MALFORMED_XML,
                 raw.line,
                 raw.col,
-                f"XMDual must have exactly 2 children, found {len(node.children)}",
+                "XMRef cannot contain child elements",
+            )
+        if attrs.idref is None:
+            raise ParseError(
+                ParseErrorKind.MALFORMED_XML,
+                raw.line,
+                raw.col,
+                "XMRef requires an idref attribute",
             )
         return node
+
+    node.children = [_build(child) for child in raw.children]
+
+    if kind is NodeKind.DUAL and len(node.children) != 2:
+        raise ParseError(
+            ParseErrorKind.DUAL_ARITY,
+            raw.line,
+            raw.col,
+            f"XMDual must have exactly 2 children, found {len(node.children)}",
+        )
+    return node
 
 
 def parse_xmath(text: str) -> XMathDocument:
     """Parse XMath XML into a validated document.
 
     Whitespace between child elements is discarded; token text is kept
-    exactly, including empty text. Raises ParseError on any rejection.
+    exactly, including empty text. Raises ParseError on any rejection;
+    duplicate ids and dangling idrefs are found by XMathDocument.
     """
-    raw = _unwrap(read_xml_tree(text))
-    builder = _Builder()
-    root = builder.build(raw)
-    for idref, line, col in builder.refs:
-        if idref not in builder.ids:
-            raise ParseError(
-                ParseErrorKind.DANGLING_IDREF,
-                line,
-                col,
-                f"idref {idref!r} does not match any xml:id",
-            )
-    return XMathDocument(root)
-
-
-def _escape_text(value: str) -> str:
-    return value.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
-
-
-def _escape_attr(value: str) -> str:
-    value = _escape_text(value).replace('"', "&quot;")
-    # Raw whitespace controls would be normalized to spaces on re-parse.
-    return value.replace("\n", "&#10;").replace("\t", "&#9;").replace("\r", "&#13;")
+    return XMathDocument(_build(_unwrap(read_xml_tree(text))))
 
 
 def _xmath_attr_map(node: XMathNode) -> dict[str, str]:
@@ -369,11 +334,11 @@ def _emit(node: XMathNode, depth: int, parts: list[str], pretty: bool) -> None:
     newline = "\n" if pretty else ""
     name = node.kind.value
     attr_text = "".join(
-        f' {key}="{_escape_attr(value)}"' for key, value in _xmath_attr_map(node).items()
+        f' {key}="{escape_attr(value)}"' for key, value in _xmath_attr_map(node).items()
     )
     if node.kind is NodeKind.TOK:
         if node.text:
-            parts.append(f"{indent}<{name}{attr_text}>{_escape_text(node.text)}</{name}>")
+            parts.append(f"{indent}<{name}{attr_text}>{escape_text(node.text)}</{name}>")
         else:
             parts.append(f"{indent}<{name}{attr_text}/>")
         parts.append(newline)

@@ -7,8 +7,8 @@ produced node carries its ascribed source so the linker can wire xrefs.
 
 from __future__ import annotations
 
-from .ascription import AscriptionContext, ascribe
-from .errors import MalformedApplyError, ReferenceCycleError
+from .ascription import BranchWalk
+from .errors import MalformedApplyError
 from .glyphs import is_greek_capital, script_form
 from .mml import TargetNode
 from .model import Branch, NodeKind, XMathDocument, XMathNode
@@ -86,61 +86,15 @@ def gen_pmml(doc: XMathDocument, vis: VisibilityMap) -> TargetNode:
     return _Walk(doc, vis).walk(doc.root, None)
 
 
-class _Walk:
-    def __init__(self, doc: XMathDocument, vis: VisibilityMap):
-        self.doc = doc
-        self.vis = vis
-        self._active_refs: set[int] = set()
+class _Walk(BranchWalk):
+    branch = Branch.PRESENTATION
 
-    # -- ascription plumbing ------------------------------------------------
+    def token(self, tok: XMathNode) -> TargetNode:
+        return token_to_pmml(tok)
 
-    def _ctx(self, current: XMathNode, container: XMathNode | None) -> AscriptionContext:
-        return AscriptionContext(
-            self.doc, self.vis, current, Branch.PRESENTATION, container
-        )
-
-    def _token_target(
-        self, built: TargetNode, current: XMathNode, container: XMathNode | None
-    ) -> TargetNode:
-        built.source = ascribe(self._ctx(current, container), False)
-        built.branch = Branch.PRESENTATION
-        built.origin = current
-        return built
-
-    def _container(
-        self,
-        element: str,
-        children: list[TargetNode],
-        current: XMathNode,
-        container: XMathNode | None,
-    ) -> TargetNode:
-        node = TargetNode(element, {}, children)
-        node.source = ascribe(self._ctx(current, container), True)
-        node.branch = Branch.PRESENTATION
-        node.origin = current
-        return node
-
-    # -- walk ---------------------------------------------------------------
-
-    def walk(self, node: XMathNode, container: XMathNode | None) -> TargetNode:
-        kind = node.kind
-        if kind is NodeKind.DUAL:
-            return self.walk(node.children[1], node)
-        if kind is NodeKind.REF:
-            if node.index in self._active_refs:
-                raise ReferenceCycleError("reference cycle via idref", node)
-            self._active_refs.add(node.index)
-            try:
-                # The ref's own container stays in force for the subtree.
-                return self.walk(self.doc.resolve_ref(node), container)
-            finally:
-                self._active_refs.discard(node.index)
-        if kind is NodeKind.TOK:
-            return self._token_target(token_to_pmml(node), node, container)
-        if kind is NodeKind.WRAP:
-            children = [self.walk(child, container) for child in node.children]
-            return self._container("mrow", children, node, container)
-        return self.apply(node, container)
+    def wrap(self, node: XMathNode, container: XMathNode | None) -> TargetNode:
+        children = [self.walk(child, container) for child in node.children]
+        return self.target(TargetNode("mrow", {}, children), node, container, True)
 
     def apply(self, app: XMathNode, container: XMathNode | None) -> TargetNode:
         if not app.children:
@@ -155,21 +109,21 @@ class _Walk:
         if role == "FUNCTION":
             af = TargetNode("mo", text=APPLY_FUNCTION)
             children = [self.walk(op_node, container)]
-            children.append(self._token_target(af, app, container))
+            children.append(self.target(af, app, container, False))
             children.extend(self.walk(arg, container) for arg in args)
-            return self._container("mrow", children, app, container)
+            return self.target(TargetNode("mrow", {}, children), app, container, True)
         if role in INFIX_ROLES and len(args) >= 2:
             children = []
             for i, arg in enumerate(args):
                 if i:
                     children.append(self._infix_operator(op, container))
                 children.append(self.walk(arg, container))
-            return self._container("mrow", children, app, container)
+            return self.target(TargetNode("mrow", {}, children), app, container, True)
         # Prefix layout covers differential operators, large operators and
         # applications whose operator is itself a compound.
         children = [self.walk(op_node, container)]
         children.extend(self.walk(arg, container) for arg in args)
-        return self._container("mrow", children, app, container)
+        return self.target(TargetNode("mrow", {}, children), app, container, True)
 
     def _infix_operator(
         self, op: XMathNode, container: XMathNode | None
@@ -177,7 +131,7 @@ class _Walk:
         built = token_to_pmml(op)
         if not built.text and op.attrs.role == "MULOP" and op.attrs.meaning == "times":
             built.text = INVISIBLE_TIMES
-        return self._token_target(built, op, container)
+        return self.target(built, op, container, False)
 
     def _script(
         self,
@@ -195,7 +149,7 @@ class _Walk:
         else:
             element = "msub"
         children = [self.walk(base, container), self.walk(script, container)]
-        return self._container(element, children, app, container)
+        return self.target(TargetNode(element, {}, children), app, container, True)
 
     def _try_fuse(
         self,
@@ -222,4 +176,4 @@ class _Walk:
             self.walk(inner.children[2], container),
             self.walk(script, container),
         ]
-        return self._container("msubsup", children, app, container)
+        return self.target(TargetNode("msubsup", {}, children), app, container, True)

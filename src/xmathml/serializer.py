@@ -28,13 +28,15 @@ def _encode(value: str, mode: EntityMode) -> str:
     return value
 
 
-def _escape_text(value: str, mode: EntityMode) -> str:
+def escape_text(value: str, mode: EntityMode = EntityMode.UTF8) -> str:
+    """Escape character data for XML output, encoding per ``mode``."""
     value = value.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
     return _encode(value, mode)
 
 
-def _escape_attr(value: str, mode: EntityMode) -> str:
-    value = _escape_text(value, mode).replace('"', "&quot;")
+def escape_attr(value: str, mode: EntityMode = EntityMode.UTF8) -> str:
+    """Escape a double-quoted attribute value, encoding per ``mode``."""
+    value = escape_text(value, mode).replace('"', "&quot;")
     # Raw whitespace controls would be normalized to spaces on re-parse.
     return value.replace("\n", "&#10;").replace("\t", "&#9;").replace("\r", "&#13;")
 
@@ -79,7 +81,7 @@ def _emit(
         xmlns = f"xmlns:{prefix}" if prefix else "xmlns"
         attrs = attrs + [(xmlns, MATHML_NAMESPACE)]
     attr_text = "".join(
-        f' {key}="{_escape_attr(value, opts.entity_mode)}"' for key, value in attrs
+        f' {key}="{escape_attr(value, opts.entity_mode)}"' for key, value in attrs
     )
 
     if node.children:
@@ -88,7 +90,7 @@ def _emit(
             _emit(child, depth + 1, parts, opts)
         parts.append(f"{indent}</{name}>{newline}")
     elif node.text:
-        text = _escape_text(node.text, opts.entity_mode)
+        text = escape_text(node.text, opts.entity_mode)
         parts.append(f"{indent}<{name}{attr_text}>{text}</{name}>{newline}")
     else:
         parts.append(f"{indent}<{name}{attr_text}/>{newline}")

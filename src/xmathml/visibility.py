@@ -10,7 +10,7 @@ only ever grow per node, so cycles through refs terminate.
 
 from __future__ import annotations
 
-from .model import Branch, NodeKind, XMathDocument, XMathNode
+from .model import NodeKind, XMathDocument, XMathNode
 
 _C = 1
 _P = 2
@@ -30,10 +30,6 @@ class VisibilityMap:
 
     def both_visible(self, node: XMathNode) -> bool:
         return self._flags[node.index] == _C | _P
-
-    def visible_in(self, node: XMathNode, branch: Branch) -> bool:
-        mask = _C if branch is Branch.CONTENT else _P
-        return bool(self._flags[node.index] & mask)
 
     def flags(self, node: XMathNode) -> tuple[bool, bool]:
         value = self._flags[node.index]

@@ -4,7 +4,59 @@ from __future__ import annotations
 
 from xmathml import read_xml_tree, target_from_raw
 from xmathml.mml import TargetNode
-from xmathml.model import NodeKind, XMathDocument
+from xmathml.model import NodeKind, XMathDocument, XMathNode
+
+#: Token roles named by the grammar. Any other string is accepted verbatim
+#: and treated as an unclassified ("other") role.
+KNOWN_ROLES = frozenset(
+    {
+        "ADDOP",
+        "MULOP",
+        "ID",
+        "FUNCTION",
+        "OPEN",
+        "CLOSE",
+        "PUNCT",
+        "UNKNOWN",
+        "INTOP",
+        "DIFFOP",
+        "SUPERSCRIPTOP",
+        "SUBSCRIPTOP",
+    }
+)
+
+#: Presentation vocabulary the generator can emit.
+PRESENTATION_ELEMENTS = frozenset(
+    {"math", "mrow", "mi", "mo", "mn", "msub", "msup", "msubsup"}
+)
+
+
+def find(root: TargetNode, element: str, text: str | None = None) -> TargetNode | None:
+    """First node in document order matching element (and text, if given)."""
+    for node in root.iter():
+        if node.element == element and (text is None or node.text == text):
+            return node
+    return None
+
+
+def nearest_dual_ancestor(doc: XMathDocument, node: XMathNode) -> XMathNode | None:
+    """Closest strict ancestor XMDual, by physical structure (not refs).
+
+    This is the container a generation walk passes when it reached
+    ``node`` without following a ref.
+    """
+
+    def path_to(current: XMathNode) -> list[XMathNode] | None:
+        if current is node:
+            return []
+        for child in current.children:
+            path = path_to(child)
+            if path is not None:
+                return [current] + path
+        return None
+
+    ancestors = path_to(doc.root) or []
+    return next((n for n in reversed(ancestors) if n.kind is NodeKind.DUAL), None)
 
 
 def parse_mathml(text: str) -> TargetNode:

@@ -6,6 +6,7 @@ line per criterion.
 
 from __future__ import annotations
 
+import hashlib
 import time
 
 from xmathml import (
@@ -24,7 +25,12 @@ from xmathml import (
     serialize_xmath,
     structurally_equal,
 )
-from helpers import assert_isomorphic, oracle_agrees, parse_mathml
+from helpers import (
+    assert_isomorphic,
+    nearest_dual_ancestor,
+    oracle_agrees,
+    parse_mathml,
+)
 
 
 def _report(name: str) -> None:
@@ -95,7 +101,7 @@ def test_corpus_is_representative(corpus):
     cross_branch_refs = 0
     for doc in corpus:
         duals = [n for n in doc.nodes if n.kind is NodeKind.DUAL]
-        if any(doc.nearest_dual_ancestor(d) is not None for d in duals):
+        if any(nearest_dual_ancestor(doc, d) is not None for d in duals):
             nested_duals += 1
         spans = _subtree_spans(doc)
         found = False
@@ -222,3 +228,42 @@ def test_round_trip_corpus(corpus):
         checked += 1
     assert checked == len(corpus)
     _report(f"round-trip ({checked}/{len(corpus)}, all entity/pretty modes)")
+
+
+#: SHA-256 of the serialized parallel output, UTF-8 then numeric-reference
+#: mode for every formula, ids and xrefs included. The goldens compare only
+#: up to id renaming; these catch any changed byte.
+OUTPUT_SHA256 = {
+    "sum_function": "0b6dbccd6b02be11e263820812722bed47e1d25294b149997965280fef27da07",
+    "quantum_defint": "2197dc74ca0e587006e027af62819b24c004d9bc2512eec12856b48ca548f240",
+    "corpus": "c2407eb39b237e3138a03f9d49fcaf22bb36510818916f8f262af8fca00c8c77",
+}
+
+
+def _output_digest(conversions) -> str:
+    digest = hashlib.sha256()
+    modes = (
+        SerializeOptions(),
+        SerializeOptions(entity_mode=EntityMode.NUMERIC_REFS),
+    )
+    for doc, options in conversions:
+        math = build_parallel(doc, **options)
+        for opts in modes:
+            digest.update(serialize_mathml(math, opts).encode("utf-8"))
+    return digest.hexdigest()
+
+
+def test_output_bytes_pinned(sum_function_xmath, quantum_xmath, corpus):
+    """Fixture and corpus outputs are byte-identical to the recorded ones."""
+    sum_options = {"tex": "a+F(a,b)", "display": "block"}
+    digests = {
+        "sum_function": _output_digest(
+            [(parse_xmath(sum_function_xmath), sum_options)]
+        ),
+        "quantum_defint": _output_digest(
+            [(parse_xmath(quantum_xmath), {"tex": "..."})]
+        ),
+        "corpus": _output_digest((doc, {"tex": "t"}) for doc in corpus),
+    }
+    assert digests == OUTPUT_SHA256
+    _report(f"output bytes pinned ({len(corpus) + 2} formulas, 2 entity modes)")

@@ -1,25 +1,27 @@
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from xmathml import (
-    AscriptionContext,
-    Branch,
     NodeKind,
+    ReferenceCycleError,
     ascribe,
+    build_parallel,
     gen_cmml,
     gen_pmml,
     mark_visibility,
     parse_xmath,
 )
+from helpers import nearest_dual_ancestor
 from treegen import random_document
 
 
-def _ctx(doc, vis, current, branch, container=None, explicit=False):
-    if explicit:
-        return AscriptionContext(doc, vis, current, branch, container)
-    return AscriptionContext(doc, vis, current, branch)
+def _physical(doc, vis, current, target_is_container):
+    """ascribe as a walk calls it when it reached ``current`` without a ref."""
+    container = nearest_dual_ancestor(doc, current)
+    return ascribe(doc, vis, current, container, target_is_container)
 
 
 def _first_dual(doc):
@@ -33,7 +35,7 @@ def test_presentation_only_paren_goes_to_dual(sum_function_doc):
     paren = next(node for node in doc.nodes if node.text == "(")
     # Current operator F is itself shown in presentation, so the paren
     # belongs to the dual as a whole.
-    assert ascribe(_ctx(doc, vis, paren, Branch.PRESENTATION), False) is dual
+    assert _physical(doc, vis, paren, False) is dual
 
 
 def test_hidden_operator_claims_delimiters(quantum_doc):
@@ -41,7 +43,7 @@ def test_hidden_operator_claims_delimiters(quantum_doc):
     vis = mark_visibility(doc)
     qop = next(n for n in doc.nodes if n.attrs.meaning == "quantum-operator-product")
     langle = next(node for node in doc.nodes if node.text == "⟨")
-    assert ascribe(_ctx(doc, vis, langle, Branch.PRESENTATION), False) is qop
+    assert _physical(doc, vis, langle, False) is qop
 
 
 def test_shared_token_is_its_own_source(sum_function_doc):
@@ -49,7 +51,7 @@ def test_shared_token_is_its_own_source(sum_function_doc):
     vis = mark_visibility(doc)
     a = doc.root.children[1]
     assert a.text == "a"
-    assert ascribe(_ctx(doc, vis, a, Branch.PRESENTATION), False) is a
+    assert _physical(doc, vis, a, False) is a
 
 
 def test_container_goes_to_enclosing_dual(sum_function_doc):
@@ -57,13 +59,13 @@ def test_container_goes_to_enclosing_dual(sum_function_doc):
     vis = mark_visibility(doc)
     dual = _first_dual(doc)
     pres_app = dual.children[1]  # generates the mrow wrapping F(a,b)
-    assert ascribe(_ctx(doc, vis, pres_app, Branch.PRESENTATION), True) is dual
+    assert _physical(doc, vis, pres_app, True) is dual
 
 
 def test_container_without_dual_keeps_current(sum_function_doc):
     doc = sum_function_doc
     vis = mark_visibility(doc)
-    assert ascribe(_ctx(doc, vis, doc.root, Branch.PRESENTATION), True) is doc.root
+    assert _physical(doc, vis, doc.root, True) is doc.root
 
 
 def test_content_wrappers_go_to_defint_dual(quantum_doc):
@@ -74,7 +76,7 @@ def test_content_wrappers_go_to_defint_dual(quantum_doc):
     content_app = defint_dual.children[0]
     # The bvar/lowlimit/uplimit containers are generated while expanding
     # that application; the container rule hands them to the dual.
-    assert ascribe(_ctx(doc, vis, content_app, Branch.CONTENT), True) is defint_dual
+    assert _physical(doc, vis, content_app, True) is defint_dual
 
 
 def test_rule_two_beats_containers(quantum_doc):
@@ -85,8 +87,7 @@ def test_rule_two_beats_containers(quantum_doc):
     # token is its own source no matter the container handed in.
     x = doc.id_index["m2.4"]
     for container in (None, duals[0], duals[1]):
-        ctx = _ctx(doc, vis, x, Branch.PRESENTATION, container, explicit=True)
-        assert ascribe(ctx, False) is x
+        assert ascribe(doc, vis, x, container, False) is x
 
 
 def test_traversal_container_overrides_physical(quantum_doc):
@@ -97,18 +98,15 @@ def test_traversal_container_overrides_physical(quantum_doc):
     f_app = inner_dual.children[1]
     # Physically the nearest dual is the inner one; a walk that arrived
     # through the outer dual's ref would pass the outer container.
-    assert ascribe(_ctx(doc, vis, f_app, Branch.PRESENTATION), True) is inner_dual
-    ctx = _ctx(doc, vis, f_app, Branch.PRESENTATION, duals[1], explicit=True)
-    assert ascribe(ctx, True) is duals[1]
+    assert _physical(doc, vis, f_app, True) is inner_dual
+    assert ascribe(doc, vis, f_app, duals[1], True) is duals[1]
 
 
 def test_determinism(quantum_doc):
     doc = quantum_doc
     vis = mark_visibility(doc)
     langle = next(node for node in doc.nodes if node.text == "⟨")
-    results = {
-        ascribe(_ctx(doc, vis, langle, Branch.PRESENTATION), False) for _ in range(5)
-    }
+    results = {_physical(doc, vis, langle, False) for _ in range(5)}
     assert len(results) == 1
 
 
@@ -120,7 +118,7 @@ def test_no_operator_falls_back_to_container():
     vis = mark_visibility(doc)
     paren = doc.root.children[1].children[0]
     # Content branch is a bare token: no current operator, so the dual wins.
-    assert ascribe(_ctx(doc, vis, paren, Branch.PRESENTATION), False) is doc.root
+    assert _physical(doc, vis, paren, False) is doc.root
 
 
 @given(seed=st.integers(0, 2**32 - 1))
@@ -135,3 +133,27 @@ def test_totality_over_generated_trees(seed):
     for node in list(pres.iter()) + list(cmml.iter()):
         assert node.source is not None
         assert node.branch is not None
+
+
+@pytest.mark.parametrize(
+    "text, generate",
+    [
+        # Self-ref in operator position: the presentation walk derefs it.
+        ('<XMApp><XMRef xml:id="r" idref="r"/><XMTok>a</XMTok></XMApp>', gen_pmml),
+        # A dual's content child refers back to the dual.
+        ('<XMDual xml:id="d"><XMRef idref="d"/><XMTok>a</XMTok></XMDual>', gen_cmml),
+        # A dual's presentation child refers back to the dual.
+        (
+            '<XMDual xml:id="d"><XMTok meaning="x"/><XMRef idref="d"/></XMDual>',
+            gen_pmml,
+        ),
+    ],
+)
+def test_reference_cycle_is_located(text, generate):
+    doc = parse_xmath(text)
+    with pytest.raises(ReferenceCycleError) as excinfo:
+        generate(doc, mark_visibility(doc))
+    # The error names the ref that closes the cycle.
+    assert (excinfo.value.line, excinfo.value.col) == (1, text.index("<XMRef") + 1)
+    with pytest.raises(ReferenceCycleError):
+        build_parallel(doc)

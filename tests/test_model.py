@@ -4,8 +4,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xmathml import Branch, NodeKind, parse_xmath, serialize_xmath
+from xmathml import (
+    Branch,
+    NodeKind,
+    ParseError,
+    ParseErrorKind,
+    XMathDocument,
+    parse_xmath,
+    serialize_xmath,
+)
 from xmathml.errors import DanglingRefError
+from xmathml.model import SemanticAttrs, XMathNode
+from helpers import nearest_dual_ancestor
 from treegen import random_document
 
 
@@ -59,18 +69,45 @@ def test_dangling_ref_is_defensive():
         doc.resolve_ref(ref)
 
 
+def _tok(text, line, col, **attrs):
+    return XMathNode(
+        NodeKind.TOK, text=text, attrs=SemanticAttrs(**attrs), line=line, col=col
+    )
+
+
+@pytest.mark.parametrize(
+    "second, kind, detail",
+    [
+        ({"xml_id": "t"}, ParseErrorKind.DUPLICATE_ID, "duplicate xml:id 't'"),
+        ({"idref": "nope"}, ParseErrorKind.DANGLING_IDREF, "'nope'"),
+    ],
+)
+def test_hand_built_document_is_validated(second, kind, detail):
+    root = XMathNode(
+        NodeKind.APP,
+        children=[_tok("a", 1, 8, xml_id="t"), _tok("b", 2, 5, **second)],
+        line=1,
+        col=1,
+    )
+    with pytest.raises(ParseError) as excinfo:
+        XMathDocument(root)
+    assert excinfo.value.kind is kind
+    assert (excinfo.value.line, excinfo.value.col) == (2, 5)
+    assert detail in excinfo.value.detail
+
+
 def test_nearest_dual_ancestor_paren(sum_function_doc):
     doc = sum_function_doc
     dual = _first_dual(doc)
     open_paren = next(node for node in doc.nodes if node.text == "(")
-    assert doc.nearest_dual_ancestor(open_paren) is dual
+    assert nearest_dual_ancestor(doc, open_paren) is dual
 
 
 def test_nearest_dual_ancestor_top_level_plus(sum_function_doc):
     doc = sum_function_doc
     plus = doc.root.children[0]
     assert plus.text == "+"
-    assert doc.nearest_dual_ancestor(plus) is None
+    assert nearest_dual_ancestor(doc, plus) is None
 
 
 def test_nearest_dual_ancestor_inner_dual(quantum_doc):
@@ -80,9 +117,9 @@ def test_nearest_dual_ancestor_inner_dual(quantum_doc):
     open_paren = next(
         node
         for node in doc.nodes
-        if node.text == "(" and doc.nearest_dual_ancestor(node) is not None
+        if node.text == "(" and nearest_dual_ancestor(doc, node) is not None
     )
-    assert doc.nearest_dual_ancestor(open_paren) is inner_dual
+    assert nearest_dual_ancestor(doc, open_paren) is inner_dual
 
 
 def test_top_operator_quantum(quantum_doc):
@@ -123,16 +160,17 @@ def test_top_operator_resolves_refs(sum_function_doc):
 @settings(max_examples=100, deadline=None)
 def test_nearest_dual_matches_ancestor_scan(seed):
     doc = random_document(seed=seed)
+    parent = {child: node for node in doc.nodes for child in node.children}
     for node in doc.nodes:
         chain = []
-        current = doc.parent_index.get(node)
+        current = parent.get(node)
         while current is not None:
             chain.append(current)
-            current = doc.parent_index.get(current)
+            current = parent.get(current)
         expected = next(
             (anc for anc in chain if anc.kind is NodeKind.DUAL), None
         )
-        assert doc.nearest_dual_ancestor(node) is expected
+        assert nearest_dual_ancestor(doc, node) is expected
 
 
 @given(seed=st.integers(0, 2**32 - 1))
@@ -149,7 +187,6 @@ def test_navigation_does_not_mutate(quantum_doc):
     doc = quantum_doc
     before = serialize_xmath(doc)
     for node in doc.nodes:
-        doc.nearest_dual_ancestor(node)
         if node.kind is NodeKind.REF:
             doc.resolve_ref(node)
         if node.kind is NodeKind.DUAL:

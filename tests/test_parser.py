@@ -14,6 +14,7 @@ from xmathml import (
     serialize_xmath,
     structurally_equal,
 )
+from helpers import KNOWN_ROLES
 from treegen import random_document
 
 
@@ -66,6 +67,13 @@ def test_dangling_idref(sum_function_xmath):
     assert excinfo.value.kind is ParseErrorKind.DANGLING_IDREF
     assert "m1.9" in excinfo.value.detail
     assert excinfo.value.line > 0
+
+
+def test_idref_outside_xmref_is_located():
+    with pytest.raises(ParseError) as excinfo:
+        parse_xmath('<XMApp><XMTok>f</XMTok><XMTok idref="nope">a</XMTok></XMApp>')
+    assert excinfo.value.kind is ParseErrorKind.DANGLING_IDREF
+    assert (excinfo.value.line, excinfo.value.col) == (1, 24)
 
 
 def test_duplicate_id():
@@ -213,8 +221,6 @@ def test_nesting_depth_cap():
 
 
 def test_fixture_roles_are_known(sum_function_xmath, quantum_xmath):
-    from xmathml.model import KNOWN_ROLES
-
     for text in (sum_function_xmath, quantum_xmath):
         doc = parse_xmath(text)
         for node in doc.nodes:

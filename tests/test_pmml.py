@@ -16,9 +16,8 @@ from xmathml import (
     token_to_pmml,
 )
 from xmathml.errors import MalformedApplyError
-from xmathml.mml import PRESENTATION_ELEMENTS
 from xmathml.model import SemanticAttrs, XMathNode
-from helpers import parse_mathml
+from helpers import PRESENTATION_ELEMENTS, find, parse_mathml
 from treegen import random_document
 
 
@@ -41,10 +40,10 @@ def test_quantum_shape_with_fusion(quantum_doc, quantum_mathml):
     actual = _pres_tree(quantum_doc)
     expected = _expected_presentation(quantum_mathml)
     assert same_shape(actual, expected, ignore_attrs=("id", "xref"))
-    fused = actual.find("msubsup")
+    fused = find(actual, "msubsup")
     assert fused is not None
     assert [child.element for child in fused.children] == ["mo", "mi", "mi"]
-    assert actual.find("mo", "⁢") is not None  # invisible times
+    assert find(actual, "mo", "⁢") is not None  # invisible times
 
 
 def test_single_token_document():

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from xmathml import NodeKind, XMathDocument, mark_visibility, parse_xmath
 from xmathml.model import SemanticAttrs, XMathNode
-from helpers import oracle_agrees, visibility_oracle
+from helpers import nearest_dual_ancestor, oracle_agrees, visibility_oracle
 from treegen import random_document
 
 
@@ -97,7 +97,7 @@ def test_nodes_outside_duals_are_shared(seed):
     doc = random_document(seed=seed)
     vis = mark_visibility(doc)
     for node in doc.nodes:
-        if doc.nearest_dual_ancestor(node) is None:
+        if nearest_dual_ancestor(doc, node) is None:
             assert vis.flags(node) == (True, True), node
 
 
