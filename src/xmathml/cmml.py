@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Mapping
 
 from .ascription import BranchWalk
@@ -157,14 +158,19 @@ class MeaningTable:
 
     @staticmethod
     def default() -> "MeaningTable":
-        return MeaningTable(
-            dict(KNOWN_CONTENT_ELEMENTS), load_expansion_table(BUILTIN_EXPANSIONS)
-        )
+        """The built-in table: one shared, read-only instance."""
+        return _DEFAULT_TABLE
 
     def extended(self, rules: Mapping[str, ExpansionRule]) -> "MeaningTable":
         merged = dict(self.expansions)
         merged.update(rules)
         return MeaningTable(self.elements, merged)
+
+
+_DEFAULT_TABLE = MeaningTable(
+    MappingProxyType(dict(KNOWN_CONTENT_ELEMENTS)),
+    MappingProxyType(load_expansion_table(BUILTIN_EXPANSIONS)),
+)
 
 
 def token_to_cmml(tok: XMathNode, table: MeaningTable | None = None) -> TargetNode:

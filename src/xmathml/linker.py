@@ -234,8 +234,11 @@ class LinkReport:
         self.violations.append(LinkViolation(kind, message))
 
 
+_SUFFIXED = re.compile(r"^(.*?)([a-z]+)$")
+
+
 def _strip_suffix_letters(base: str) -> str:
-    match = re.match(r"^(.*?)([a-z]+)$", base)
+    match = _SUFFIXED.match(base)
     if match and match.group(1) and not match.group(1)[-1].islower():
         return match.group(1)
     return base
@@ -278,21 +281,31 @@ def check_links(math: TargetNode) -> LinkReport:
     report = LinkReport()
     presentation, content = _locate_branches(math)
 
+    # One walk in document order: the first node carrying each id, and
+    # every node sorted into the presentation side, the content side or
+    # the wrappers around them.
     all_ids: dict[str, TargetNode] = {}
-    for node in math.iter():
-        node_id = node.attrs.get("id")
-        if node_id is None:
-            continue
-        if node_id in all_ids:
-            report.add("id-uniqueness", f"id {node_id!r} appears more than once")
-        else:
-            all_ids[node_id] = node
-
-    sides = {
-        Branch.PRESENTATION: list(presentation.iter()),
-        Branch.CONTENT: list(content.iter()),
+    sides: dict[Branch, list[TargetNode]] = {
+        Branch.PRESENTATION: [],
+        Branch.CONTENT: [],
     }
-    tree_nodes = {id(n) for nodes in sides.values() for n in nodes}
+    wrappers: list[TargetNode] = []
+    stack: list[tuple[TargetNode, list[TargetNode]]] = [(math, wrappers)]
+    while stack:
+        node, bucket = stack.pop()
+        if node is presentation:
+            bucket = sides[Branch.PRESENTATION]
+        elif node is content:
+            bucket = sides[Branch.CONTENT]
+        bucket.append(node)
+        node_id = node.attrs.get("id")
+        if node_id is not None:
+            if node_id in all_ids:
+                report.add("id-uniqueness", f"id {node_id!r} appears more than once")
+            else:
+                all_ids[node_id] = node
+        stack.extend((child, bucket) for child in reversed(node.children))
+
     use_sources = all(
         node.source is not None for nodes in sides.values() for node in nodes
     )
@@ -302,31 +315,33 @@ def check_links(math: TargetNode) -> LinkReport:
             return node.source.index
         return _id_base(node.attrs.get("id", ""), branch)
 
+    # Each id-carrying node's source class, computed once per side.
+    classes: dict[Branch, dict[TargetNode, object]] = {}
     first_of: dict[tuple[Branch, object], str] = {}
     branch_of: dict[str, Branch] = {}
     for branch, nodes in sides.items():
+        classes[branch] = class_of = {}
         for node in nodes:
             node_id = node.attrs.get("id")
             if node_id is None:
                 report.add("id-missing", f"{node.element} node carries no id")
                 continue
             branch_of[node_id] = branch
-            key = (branch, source_class(node, branch))
-            first_of.setdefault(key, node_id)
+            cls = class_of[node] = source_class(node, branch)
+            first_of.setdefault((branch, cls), node_id)
 
-    for node in math.iter():
-        if id(node) not in tree_nodes and "xref" in node.attrs:
+    for node in wrappers:
+        if "xref" in node.attrs:
             report.add(
                 "wrapper-xref", f"wrapper {node.element} must not carry xref"
             )
 
-    for branch, nodes in sides.items():
-        for node in nodes:
-            node_id = node.attrs.get("id")
-            if node_id is None:
-                continue
-            cls = source_class(node, branch)
-            opposite_first = first_of.get((branch.opposite, cls))
+    for branch, class_of in classes.items():
+        opposite = branch.opposite
+        opposite_classes = classes[opposite]
+        for node, cls in class_of.items():
+            node_id = node.attrs["id"]
+            opposite_first = first_of.get((opposite, cls))
             xref = node.attrs.get("xref")
             if xref is None:
                 if opposite_first is not None:
@@ -335,20 +350,26 @@ def check_links(math: TargetNode) -> LinkReport:
                         f"{node_id} has opposite-branch targets but no xref",
                     )
                 continue
-            if xref not in all_ids:
+            target = all_ids.get(xref)
+            if target is None:
                 report.add(
                     "xref-resolution",
                     f"{node_id} points at {xref!r}, which does not exist",
                 )
                 continue
-            if branch_of.get(xref) is not branch.opposite:
+            if branch_of.get(xref) is not opposite:
                 report.add(
                     "xref-branch",
                     f"{node_id} points at {xref!r} in the same branch",
                 )
                 continue
-            target = all_ids[xref]
-            if source_class(target, branch.opposite) != cls:
+            # With duplicate ids the first node carrying xref need not be
+            # on the opposite side; its class is then worked out here.
+            if target in opposite_classes:
+                target_cls = opposite_classes[target]
+            else:
+                target_cls = source_class(target, opposite)
+            if target_cls != cls:
                 report.add(
                     "shared-source",
                     f"{node_id} and its xref target {xref} have different sources",

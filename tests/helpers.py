@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from xmathml import read_xml_tree, target_from_raw
+from xmathml import EntityMode, read_xml_tree, target_from_raw
 from xmathml.mml import TargetNode
 from xmathml.model import NodeKind, XMathDocument, XMathNode
 
@@ -57,6 +57,30 @@ def nearest_dual_ancestor(doc: XMathDocument, node: XMathNode) -> XMathNode | No
 
     ancestors = path_to(doc.root) or []
     return next((n for n in reversed(ancestors) if n.kind is NodeKind.DUAL), None)
+
+
+def reference_encode(value: str, mode: EntityMode) -> str:
+    """Character-by-character numeric encoding: the serializer's reference."""
+    if mode is EntityMode.NUMERIC_REFS:
+        return "".join(
+            ch if ord(ch) < 128 else f"&#x{ord(ch):X};" for ch in value
+        )
+    return value
+
+
+def reference_escape_text(value: str, mode: EntityMode = EntityMode.UTF8) -> str:
+    """The replace-chain text escape the serializer's fast paths must equal.
+
+    It leaves a carriage return raw; the serializer writes ``&#13;``.
+    """
+    value = value.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+    return reference_encode(value, mode)
+
+
+def reference_escape_attr(value: str, mode: EntityMode = EntityMode.UTF8) -> str:
+    """The replace-chain attribute escape the serializer's fast paths must equal."""
+    value = reference_escape_text(value, mode).replace('"', "&quot;")
+    return value.replace("\n", "&#10;").replace("\t", "&#9;").replace("\r", "&#13;")
 
 
 def parse_mathml(text: str) -> TargetNode:

@@ -240,12 +240,22 @@ OUTPUT_SHA256 = {
 }
 
 
-def _output_digest(conversions) -> str:
+_PLAIN_MODES = (
+    SerializeOptions(),
+    SerializeOptions(entity_mode=EntityMode.NUMERIC_REFS),
+)
+
+#: Indented and namespace-prefixed output, each in both entity modes.
+_PRETTY_PREFIXED_MODES = (
+    SerializeOptions(pretty=True),
+    SerializeOptions(pretty=True, entity_mode=EntityMode.NUMERIC_REFS),
+    SerializeOptions(namespace_prefix="m"),
+    SerializeOptions(namespace_prefix="m", entity_mode=EntityMode.NUMERIC_REFS),
+)
+
+
+def _output_digest(conversions, modes=_PLAIN_MODES) -> str:
     digest = hashlib.sha256()
-    modes = (
-        SerializeOptions(),
-        SerializeOptions(entity_mode=EntityMode.NUMERIC_REFS),
-    )
     for doc, options in conversions:
         math = build_parallel(doc, **options)
         for opts in modes:
@@ -267,3 +277,29 @@ def test_output_bytes_pinned(sum_function_xmath, quantum_xmath, corpus):
     }
     assert digests == OUTPUT_SHA256
     _report(f"output bytes pinned ({len(corpus) + 2} formulas, 2 entity modes)")
+
+
+#: SHA-256 of the same conversions as ``OUTPUT_SHA256`` in the pretty and
+#: namespace-prefixed modes of ``_PRETTY_PREFIXED_MODES``.
+PRETTY_PREFIXED_OUTPUT_SHA256 = {
+    "sum_function": "3ea1fe2a4a05217d56247181f36976aa884f107b8805bf4ea965f78eb2309d03",
+    "quantum_defint": "13366c8978455e2dd8ed53046587dfbc90cffa55ee3eec31015d42f346af50b2",
+    "corpus": "35ab21cb9f68b1bef5c409f05ff126eb502a72e62437dea822b402fedd278b19",
+}
+
+
+def test_output_bytes_pinned_pretty_prefixed(sum_function_xmath, quantum_xmath, corpus):
+    """Pretty and prefixed outputs are byte-identical to the recorded ones."""
+    modes = _PRETTY_PREFIXED_MODES
+    sum_options = {"tex": "a+F(a,b)", "display": "block"}
+    digests = {
+        "sum_function": _output_digest(
+            [(parse_xmath(sum_function_xmath), sum_options)], modes
+        ),
+        "quantum_defint": _output_digest(
+            [(parse_xmath(quantum_xmath), {"tex": "..."})], modes
+        ),
+        "corpus": _output_digest(((doc, {"tex": "t"}) for doc in corpus), modes),
+    }
+    assert digests == PRETTY_PREFIXED_OUTPUT_SHA256
+    _report(f"pretty/prefixed output bytes pinned ({len(corpus) + 2} formulas, 4 modes)")

@@ -229,6 +229,16 @@ def test_table_loader_errors():
         load_expansion_table("foo 1 (apply head slot1")  # unbalanced
 
 
+def test_default_table_is_shared_and_read_only():
+    first, second = MeaningTable.default(), MeaningTable.default()
+    assert first == second
+    with pytest.raises(TypeError):
+        first.elements["plus"] = "minus"
+    with pytest.raises(TypeError):
+        first.expansions["x"] = first.expansions["hack-definite-integral"]
+    assert second.elements["plus"] == "plus"
+
+
 def test_user_rules_override_builtin():
     table = MeaningTable.default().extended(
         load_expansion_table("hack-definite-integral 2 (apply head slot1 slot2)")

@@ -242,6 +242,19 @@ def test_check_links_dangling_xref(sum_function_doc):
     assert any(v.kind == "xref-resolution" for v in report.violations)
 
 
+def test_check_links_duplicate_id_report(sum_function_doc):
+    """With a duplicated id, an xref resolves to the first node carrying it,
+    whose class is taken on the branch the id was last seen in."""
+    math = parse_mathml(serialize_mathml(build_parallel(sum_function_doc)))
+    victim = next(n for n in math.iter() if n.attrs.get("id") == "m1.6")
+    victim.attrs["id"] = "m1.5.cmml"
+    assert check_links(math).lines() == [
+        "id-uniqueness: id 'm1.5.cmml' appears more than once",
+        "shared-source: m1.5.cmml and its xref target m1.6.cmml have different sources",
+        "xref-resolution: m1.6.cmml points at 'm1.6', which does not exist",
+    ]
+
+
 def test_check_links_on_published_example(sum_function_mathml):
     math = parse_mathml(sum_function_mathml)
     report = check_links(math)

@@ -195,6 +195,12 @@ def test_round_trip_whitespace_token_text():
     assert parse_xmath(serialize_xmath(doc)).root.text == " "
 
 
+def test_round_trip_carriage_return_token_text():
+    doc = parse_xmath("<XMTok>a&#13;b</XMTok>")
+    assert doc.root.text == "a\rb"
+    assert parse_xmath(serialize_xmath(doc)).root.text == "a\rb"
+
+
 def test_empty_app_parses():
     doc = parse_xmath("<XMApp/>")
     assert doc.root.kind is NodeKind.APP

@@ -10,10 +10,12 @@ from xmathml import (
     SerializeOptions,
     TargetNode,
     build_parallel,
+    parse_xmath,
     same_shape,
     serialize_mathml,
 )
-from helpers import parse_mathml
+from xmathml.serializer import escape_attr, escape_text
+from helpers import parse_mathml, reference_escape_attr, reference_escape_text
 from treegen import random_document
 
 UTF8 = SerializeOptions()
@@ -103,4 +105,35 @@ def test_output_is_well_formed_xml(seed):
         # Independent well-formedness pass through the stdlib parser.
         parsed = ET.fromstring(text)
         assert parsed.tag.endswith("math")
+        assert same_shape(parse_mathml(text), math)
+
+
+#: ASCII, BMP and astral code points, plus every character with an escape.
+_ESCAPE_INPUTS = st.text(
+    alphabet=st.one_of(
+        st.characters(max_codepoint=127),
+        st.characters(),
+        st.sampled_from('&<>"\n\t\r\U0001d49c\u2062'),
+    )
+)
+
+
+@given(value=_ESCAPE_INPUTS)
+@settings(max_examples=400, deadline=None)
+def test_escape_matches_reference(value):
+    for mode in EntityMode:
+        # The one intended difference: text keeps no raw carriage return.
+        expected_text = reference_escape_text(value, mode).replace("\r", "&#13;")
+        assert escape_text(value, mode) == expected_text
+        assert escape_attr(value, mode) == reference_escape_attr(value, mode)
+
+
+def test_carriage_return_survives_reparse():
+    doc = parse_xmath("<XMApp><XMTok meaning='plus'>+</XMTok>"
+                      "<XMTok>a&#13;b</XMTok><XMTok>c</XMTok></XMApp>")
+    math = build_parallel(doc, tex="a\r+c")
+    assert any(node.text == "a\rb" for node in math.iter())
+    for opts in (UTF8, NUMERIC, PRETTY):
+        text = serialize_mathml(math, opts)
+        assert "\r" not in text
         assert same_shape(parse_mathml(text), math)
