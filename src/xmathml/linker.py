@@ -281,22 +281,28 @@ def check_links(math: TargetNode) -> LinkReport:
     report = LinkReport()
     presentation, content = _locate_branches(math)
 
-    # One walk in document order: the first node carrying each id, and
-    # every node sorted into the presentation side, the content side or
-    # the wrappers around them.
+    # One walk in document order: the first node carrying each id, the
+    # side carrying it (content if both do), and every node sorted into
+    # the presentation side, the content side or the wrappers around them.
     all_ids: dict[str, TargetNode] = {}
+    branch_of: dict[str, Branch] = {}
+    content_side = Branch.CONTENT  # an enum member lookup is slow per node
     sides: dict[Branch, list[TargetNode]] = {
         Branch.PRESENTATION: [],
         Branch.CONTENT: [],
     }
     wrappers: list[TargetNode] = []
-    stack: list[tuple[TargetNode, list[TargetNode]]] = [(math, wrappers)]
+    stack: list[tuple[TargetNode, list[TargetNode], Branch | None]] = [
+        (math, wrappers, None)
+    ]
     while stack:
-        node, bucket = stack.pop()
+        node, bucket, branch = stack.pop()
         if node is presentation:
-            bucket = sides[Branch.PRESENTATION]
+            branch = Branch.PRESENTATION
+            bucket = sides[branch]
         elif node is content:
-            bucket = sides[Branch.CONTENT]
+            branch = Branch.CONTENT
+            bucket = sides[branch]
         bucket.append(node)
         node_id = node.attrs.get("id")
         if node_id is not None:
@@ -304,11 +310,29 @@ def check_links(math: TargetNode) -> LinkReport:
                 report.add("id-uniqueness", f"id {node_id!r} appears more than once")
             else:
                 all_ids[node_id] = node
-        stack.extend((child, bucket) for child in reversed(node.children))
+            if branch is not None and branch_of.get(node_id) is not content_side:
+                branch_of[node_id] = branch
+        stack.extend((child, bucket, branch) for child in reversed(node.children))
 
     use_sources = all(
         node.source is not None for nodes in sides.values() for node in nodes
     )
+    # Wrappers carry no source. When a side node shares a wrapper's id and
+    # an xref from the other side names it, that xref reaches the wrapper:
+    # classify by ids throughout then, as for a re-parsed tree.
+    clashes = {
+        node_id
+        for node in wrappers
+        if (node_id := node.attrs.get("id")) in branch_of and all_ids[node_id] is node
+    }
+    if use_sources and clashes:
+        use_sources = not any(
+            "id" in node.attrs
+            and (xref := node.attrs.get("xref")) in clashes
+            and branch_of[xref] is not branch
+            for branch, nodes in sides.items()
+            for node in nodes
+        )
 
     def source_class(node: TargetNode, branch: Branch) -> object:
         if use_sources:
@@ -318,7 +342,6 @@ def check_links(math: TargetNode) -> LinkReport:
     # Each id-carrying node's source class, computed once per side.
     classes: dict[Branch, dict[TargetNode, object]] = {}
     first_of: dict[tuple[Branch, object], str] = {}
-    branch_of: dict[str, Branch] = {}
     for branch, nodes in sides.items():
         classes[branch] = class_of = {}
         for node in nodes:
@@ -326,7 +349,6 @@ def check_links(math: TargetNode) -> LinkReport:
             if node_id is None:
                 report.add("id-missing", f"{node.element} node carries no id")
                 continue
-            branch_of[node_id] = branch
             cls = class_of[node] = source_class(node, branch)
             first_of.setdefault((branch, cls), node_id)
 

@@ -9,7 +9,7 @@ from .model import Branch, XMathNode
 
 MATHML_NAMESPACE = "http://www.w3.org/1998/Math/MathML"
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class TargetNode:
     """One generated MathML node, annotated with its ascribed source.
 

@@ -46,10 +46,13 @@ class Branch(IntEnum):
 
     @property
     def opposite(self) -> "Branch":
-        return Branch(1 - self.value)
+        return _OPPOSITE[self]
 
 
-@dataclass
+_OPPOSITE = (Branch.PRESENTATION, Branch.CONTENT)
+
+
+@dataclass(slots=True)
 class SemanticAttrs:
     """Attributes with dedicated handling, plus a pass-through map.
 
@@ -68,7 +71,7 @@ class SemanticAttrs:
     extra: dict[str, str] = field(default_factory=dict)
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class XMathNode:
     """One node of the XMath tree. Identity equality; never mutated after parse."""
 

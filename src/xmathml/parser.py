@@ -77,7 +77,7 @@ _ENTITY_RE = re.compile(r"&([A-Za-z][A-Za-z0-9]*);")
 MAX_NESTING_DEPTH = 200
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class RawElement:
     """Generic parsed XML element with source positions."""
 
@@ -96,56 +96,37 @@ class RawElement:
     def text(self) -> str:
         return "".join(chunk for chunk, _, _ in self.chunks)
 
-    def nonspace_chunk(self) -> tuple[str, int, int] | None:
-        for chunk, line, col in self.chunks:
-            if chunk.strip():
-                return chunk, line, col
-        return None
 
-
-def read_xml_tree(text: str) -> RawElement:
-    """Parse XML text into a RawElement tree.
+def _read(text: str, start, end, chars) -> None:
+    """Run expat over ``text`` with the reader's safety checks.
 
     Known named character entities are substituted up front (expat knows
-    only the five XML built-ins). Raises ParseError(MALFORMED_XML) on any
-    well-formedness problem.
+    only the five XML built-ins); document type declarations are refused.
+    ``start(name, attrs, line, col)`` returns the nesting depth of the
+    element it opened, and deeper than MAX_NESTING_DEPTH is refused.
+    ``end(name)`` closes the innermost element, and ``chars(data, line,
+    col)`` receives text, buffered. Positions are 1-based. Every refusal
+    is a located ParseError(MALFORMED_XML).
     """
     text = _ENTITY_RE.sub(
         lambda m: NAMED_ENTITIES.get(m.group(1), m.group(0)), text
     )
     parser = xml.parsers.expat.ParserCreate()
     parser.buffer_text = True
-    root: list[RawElement] = []
-    stack: list[RawElement] = []
 
-    def start(name: str, attrs: dict[str, str]) -> None:
-        if len(stack) >= MAX_NESTING_DEPTH:
+    def on_start(name: str, attrs: dict[str, str]) -> None:
+        line = parser.CurrentLineNumber
+        col = parser.CurrentColumnNumber + 1
+        if start(name, attrs, line, col) > MAX_NESTING_DEPTH:
             raise ParseError(
                 ParseErrorKind.MALFORMED_XML,
-                parser.CurrentLineNumber,
-                parser.CurrentColumnNumber + 1,
+                line,
+                col,
                 f"element nesting deeper than {MAX_NESTING_DEPTH}",
             )
-        elem = RawElement(
-            name,
-            dict(attrs),
-            line=parser.CurrentLineNumber,
-            col=parser.CurrentColumnNumber + 1,
-        )
-        if stack:
-            stack[-1].children.append(elem)
-        else:
-            root.append(elem)
-        stack.append(elem)
 
-    def end(name: str) -> None:
-        stack.pop()
-
-    def chars(data: str) -> None:
-        if stack:
-            stack[-1].chunks.append(
-                (data, parser.CurrentLineNumber, parser.CurrentColumnNumber + 1)
-            )
+    def on_chars(data: str) -> None:
+        chars(data, parser.CurrentLineNumber, parser.CurrentColumnNumber + 1)
 
     def doctype(*_args) -> None:
         # Inline DTDs allow unbounded entity amplification; formula files
@@ -157,9 +138,9 @@ def read_xml_tree(text: str) -> RawElement:
             "document type declarations are not supported",
         )
 
-    parser.StartElementHandler = start
+    parser.StartElementHandler = on_start
     parser.EndElementHandler = end
-    parser.CharacterDataHandler = chars
+    parser.CharacterDataHandler = on_chars
     parser.StartDoctypeDeclHandler = doctype
     try:
         parser.Parse(text, True)
@@ -168,124 +149,33 @@ def read_xml_tree(text: str) -> RawElement:
         raise ParseError(
             ParseErrorKind.MALFORMED_XML, exc.lineno, exc.offset + 1, detail
         ) from None
+
+
+def read_xml_tree(text: str) -> RawElement:
+    """Parse XML text into a RawElement tree.
+
+    Raises ParseError(MALFORMED_XML) on any well-formedness problem.
+    """
+    root: list[RawElement] = []
+    stack: list[RawElement] = []
+
+    def start(name: str, attrs: dict[str, str], line: int, col: int) -> int:
+        elem = RawElement(name, attrs, line=line, col=col)
+        (stack[-1].children if stack else root).append(elem)
+        stack.append(elem)
+        return len(stack)
+
+    def end(name: str) -> None:
+        stack.pop()
+
+    def chars(data: str, line: int, col: int) -> None:
+        if stack:
+            stack[-1].chunks.append((data, line, col))
+
+    _read(text, start, end, chars)
     if not root:
         raise ParseError(ParseErrorKind.MALFORMED_XML, 1, 1, "no element found")
     return root[0]
-
-
-_KNOWN_ATTRS = frozenset(
-    {"role", "meaning", "xml:id", "idref", "font", "mathstyle", "stretchy", "scriptpos"}
-)
-
-
-def _convert_attrs(raw: RawElement) -> SemanticAttrs:
-    attrs = SemanticAttrs()
-    for name, value in raw.attrs.items():
-        if name == "xmlns" or name.startswith("xmlns:"):
-            continue
-        if name == "role":
-            attrs.role = value
-        elif name == "meaning":
-            attrs.meaning = value
-        elif name == "xml:id":
-            attrs.xml_id = value
-        elif name == "idref":
-            attrs.idref = value
-        elif name == "font":
-            attrs.font = value
-        elif name == "mathstyle":
-            attrs.mathstyle = value
-        elif name == "scriptpos":
-            attrs.scriptpos = value
-        elif name == "stretchy" and value in ("true", "false"):
-            attrs.stretchy = value == "true"
-        else:
-            # Unknown attributes (and malformed stretchy values) pass through.
-            attrs.extra[name] = value
-    return attrs
-
-
-def _unwrap(raw: RawElement) -> RawElement:
-    while raw.local in WRAPPER_ELEMENTS:
-        bad = raw.nonspace_chunk()
-        if bad is not None:
-            raise ParseError(
-                ParseErrorKind.MALFORMED_XML,
-                bad[1],
-                bad[2],
-                f"text content not allowed inside {raw.local}",
-            )
-        if len(raw.children) != 1:
-            raise ParseError(
-                ParseErrorKind.MALFORMED_XML,
-                raw.line,
-                raw.col,
-                f"{raw.local} wrapper must contain exactly one element",
-            )
-        raw = raw.children[0]
-    return raw
-
-
-def _build(raw: RawElement) -> XMathNode:
-    kind = ELEMENT_KINDS.get(raw.local)
-    if kind is None:
-        raise ParseError(
-            ParseErrorKind.UNKNOWN_ELEMENT,
-            raw.line,
-            raw.col,
-            f"unknown element {raw.name!r}",
-        )
-    attrs = _convert_attrs(raw)
-    node = XMathNode(kind, attrs=attrs, line=raw.line, col=raw.col)
-
-    if kind is NodeKind.TOK:
-        if raw.children:
-            child = raw.children[0]
-            raise ParseError(
-                ParseErrorKind.MALFORMED_XML,
-                child.line,
-                child.col,
-                "XMTok cannot contain child elements",
-            )
-        node.text = raw.text
-        return node
-
-    bad = raw.nonspace_chunk()
-    if bad is not None:
-        raise ParseError(
-            ParseErrorKind.MALFORMED_XML,
-            bad[1],
-            bad[2],
-            f"text content not allowed inside {raw.local}",
-        )
-
-    if kind is NodeKind.REF:
-        if raw.children:
-            raise ParseError(
-                ParseErrorKind.MALFORMED_XML,
-                raw.line,
-                raw.col,
-                "XMRef cannot contain child elements",
-            )
-        if attrs.idref is None:
-            raise ParseError(
-                ParseErrorKind.MALFORMED_XML,
-                raw.line,
-                raw.col,
-                "XMRef requires an idref attribute",
-            )
-        return node
-
-    node.children = [_build(child) for child in raw.children]
-
-    if kind is NodeKind.DUAL and len(node.children) != 2:
-        raise ParseError(
-            ParseErrorKind.DUAL_ARITY,
-            raw.line,
-            raw.col,
-            f"XMDual must have exactly 2 children, found {len(node.children)}",
-        )
-    return node
 
 
 def parse_xmath(text: str) -> XMathDocument:
@@ -294,8 +184,159 @@ def parse_xmath(text: str) -> XMathDocument:
     Whitespace between child elements is discarded; token text is kept
     exactly, including empty text. Raises ParseError on any rejection;
     duplicate ids and dangling idrefs are found by XMathDocument.
+
+    Nodes are built in the expat callbacks. Structural faults are held
+    until the reader has accepted the whole text, since a reader fault
+    anywhere wins. Each open element keeps its own best fault by rank
+    (0 unknown element, 1 an XMTok's first child, 2 text, 3 an XMRef's
+    children or a wrapper's child count, 4 an XMRef without idref) and
+    the first fault handed up by a closed child. On closing, its own
+    fault wins, then the inner one, then an XMDual's arity.
     """
-    return XMathDocument(_build(_unwrap(read_xml_tree(text))))
+    # Local names: looking up an enum member costs more than most of a
+    # callback.
+    TOK, REF, DUAL = NodeKind.TOK, NodeKind.REF, NodeKind.DUAL
+    top: list[XMathNode] = []
+    stack: list[XMathNode] = []
+    # Math/XMath wrappers and unknown elements open as placeholder nodes
+    # of kind None; the wrappers are the bottom len(wrapper_names) ones.
+    wrapper_names: list[str] = []
+    # By depth (1 for the outermost element, 0 for the document): the
+    # element's own (rank, fault) and the first fault from inside it.
+    own: dict[int, tuple[int, ParseError]] = {}
+    inner: dict[int, ParseError] = {}
+
+    def hold(
+        depth: int,
+        rank: int,
+        line: int,
+        col: int,
+        detail: str,
+        kind: ParseErrorKind = ParseErrorKind.MALFORMED_XML,
+    ) -> None:
+        held = own.get(depth)
+        if held is None or held[0] > rank:
+            own[depth] = (rank, ParseError(kind, line, col, detail))
+
+    def start(name: str, attrs: dict[str, str], line: int, col: int) -> int:
+        depth = len(stack)
+        kind = ELEMENT_KINDS.get(name) or ELEMENT_KINDS.get(name.rpartition(":")[2])
+        if kind is not None:
+            sem = SemanticAttrs()
+            for key, value in attrs.items():
+                if key == "role":
+                    sem.role = value
+                elif key == "meaning":
+                    sem.meaning = value
+                elif key == "xml:id":
+                    sem.xml_id = value
+                elif key == "idref":
+                    sem.idref = value
+                elif key == "font":
+                    sem.font = value
+                elif key == "mathstyle":
+                    sem.mathstyle = value
+                elif key == "scriptpos":
+                    sem.scriptpos = value
+                elif key == "stretchy" and value in ("true", "false"):
+                    sem.stretchy = value == "true"
+                elif key != "xmlns" and not key.startswith("xmlns:"):
+                    # Unknown attributes (and malformed stretchy values)
+                    # pass through.
+                    sem.extra[key] = value
+            node = XMathNode(
+                kind, [], "" if kind is TOK else None, sem, -1, line, col
+            )
+            if kind is REF and sem.idref is None:
+                hold(depth + 1, 4, line, col, "XMRef requires an idref attribute")
+        else:
+            node = XMathNode(None, line=line, col=col)
+            local = name.rpartition(":")[2]
+            if depth == len(wrapper_names) and local in WRAPPER_ELEMENTS:
+                wrapper_names.append(local)
+            else:
+                hold(
+                    depth + 1,
+                    0,
+                    line,
+                    col,
+                    f"unknown element {name!r}",
+                    ParseErrorKind.UNKNOWN_ELEMENT,
+                )
+        if depth:
+            parent = stack[-1]
+            parent.children.append(node)
+            if parent.kind is TOK:
+                hold(depth, 1, line, col, "XMTok cannot contain child elements")
+            elif parent.kind is REF:
+                hold(
+                    depth,
+                    3,
+                    parent.line,
+                    parent.col,
+                    "XMRef cannot contain child elements",
+                )
+        else:
+            top.append(node)
+        stack.append(node)
+        return depth + 1
+
+    def end(name: str) -> None:
+        node = stack.pop()
+        if own or inner or node.kind is DUAL or node.kind is None:
+            close(len(stack) + 1, node)
+
+    def close(depth: int, node: XMathNode) -> None:
+        below = inner.pop(depth, None)
+        count = len(node.children)
+        if depth <= len(wrapper_names):
+            local = wrapper_names.pop()
+            if count != 1:
+                hold(
+                    depth,
+                    3,
+                    node.line,
+                    node.col,
+                    f"{local} wrapper must contain exactly one element",
+                )
+        if node.kind is DUAL and count != 2 and below is None:
+            hold(
+                depth,
+                5,
+                node.line,
+                node.col,
+                f"XMDual must have exactly 2 children, found {count}",
+                ParseErrorKind.DUAL_ARITY,
+            )
+        held = own.pop(depth, None)
+        fault = held[1] if held else below
+        if fault is not None:
+            inner.setdefault(depth - 1, fault)
+
+    def chars(data: str, line: int, col: int) -> None:
+        if not stack:
+            return
+        node = stack[-1]
+        if node.kind is TOK:
+            node.text += data
+        elif data.strip():
+            depth = len(stack)
+            held = own.get(depth)
+            if held is None or held[0] > 2:
+                local = (
+                    wrapper_names[depth - 1]
+                    if depth <= len(wrapper_names)
+                    else node.kind.value
+                )
+                hold(depth, 2, line, col, f"text content not allowed inside {local}")
+
+    _read(text, start, end, chars)
+    if 0 in inner:
+        raise inner[0]
+    root = top[0]
+    while root.kind is None:  # a fault-free wrapper has exactly one child
+        root = root.children[0]
+    return XMathDocument(root)
 
 
 def _xmath_attr_map(node: XMathNode) -> dict[str, str]:

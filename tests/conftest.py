@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import os
 import random
 from pathlib import Path
 
@@ -9,6 +10,14 @@ from xmathml import parse_xmath
 from treegen import random_document
 
 FIXTURES = Path(__file__).parent / "fixtures"
+
+# pytest's ``pythonpath`` setting puts src/ on this process's path only;
+# the CLI subprocess tests need it too.
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+if _SRC not in os.environ.get("PYTHONPATH", "").split(os.pathsep):
+    os.environ["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [_SRC, os.environ.get("PYTHONPATH")])
+    )
 
 CORPUS_SEED = 20260810
 CORPUS_SIZE = 1000

@@ -255,6 +255,21 @@ def test_check_links_duplicate_id_report(sum_function_doc):
     ]
 
 
+def test_check_links_xref_to_wrapper_id_in_memory(sum_function_doc):
+    """An xref naming an id that a wrapper also carries is reported in
+    memory exactly as after serialize and re-parse."""
+    math = build_parallel(sum_function_doc)
+    next(n for n in math.iter() if n.attrs.get("id") == "m1.5.cmml").attrs["id"] = "m1"
+    next(n for n in math.iter() if n.attrs.get("id") == "m1.5").attrs["xref"] = "m1"
+    reparsed = check_links(parse_mathml(serialize_mathml(math))).lines()
+    assert reparsed == [
+        "id-uniqueness: id 'm1' appears more than once",
+        "shared-source: m1.5 and its xref target m1 have different sources",
+        "shared-source: m1 and its xref target m1.5 have different sources",
+    ]
+    assert check_links(math).lines() == reparsed
+
+
 def test_check_links_on_published_example(sum_function_mathml):
     math = parse_mathml(sum_function_mathml)
     report = check_links(math)

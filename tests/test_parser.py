@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+import random
 import re
 
 import pytest
@@ -14,8 +16,9 @@ from xmathml import (
     serialize_xmath,
     structurally_equal,
 )
+from conftest import fixture_text
 from helpers import KNOWN_ROLES
-from treegen import random_document
+from treegen import make_corpus, random_document
 
 
 def test_sum_function_structure(sum_function_doc):
@@ -257,3 +260,183 @@ def test_parser_is_total(text):
     except ParseError as err:
         assert err.kind in ParseErrorKind
         assert isinstance(err.detail, str)
+
+
+# -- rejection precedence ----------------------------------------------------
+
+_TAG_END = re.compile(r">")
+_SELF_CLOSED = re.compile(r"<(XM\w+)([^<>]*)/>")
+_DUAL_START = re.compile(r"<XMDual[^<>]*>")
+_REF = re.compile(r"<XMRef([^<>]*)/>")
+_IDREF = re.compile(r' idref="[^"]*"')
+_XML_ID = re.compile(r'xml:id="([^"]*)"')
+
+
+def _insert(rng, text, snippet):
+    gaps = [m.end() for m in _TAG_END.finditer(text)][:-1] or [0]
+    at = rng.choice(gaps)
+    return text[:at] + snippet + text[at:]
+
+
+def _replace_one(rng, text, pattern, make):
+    matches = list(pattern.finditer(text))
+    if not matches:
+        return text
+    m = rng.choice(matches)
+    return text[: m.start()] + make(m) + text[m.end() :]
+
+
+def _wrap(rng, text):
+    return rng.choice(
+        [
+            "<Math>{}</Math>",
+            "<Math><XMath>{}</XMath></Math>",
+            "<Math>junk{}</Math>",
+            "<Math>{}<XMTok/></Math>",
+            "<Math><XMTok/>{}</Math>",
+            "<Math><XMath>{}</XMath>x</Math>",
+            "<XMath><Math>{}</Math></XMath>",
+            "<Math><XMath>{}</XMath><XMath/></Math>",
+            "<Math></Math>{}",
+        ]
+    ).format(text)
+
+
+def _mutate(rng, text):
+    """Apply one seeded fault to XMath text; the result may still be valid."""
+    ids = _XML_ID.findall(text)
+    choice = rng.randrange(15)
+    if choice == 0:
+        return _insert(rng, text, "junk")
+    if choice == 1:
+        return _insert(rng, text, "<XMFoo/>")
+    if choice == 2:
+        return _insert(rng, text, "<XMTok/>")
+    if choice == 3:
+        return _insert(rng, text, "<XMRef/>")
+    if choice == 4:
+        return _insert(rng, text, '<XMRef idref="nope"/>')
+    if choice == 5:
+        dup = rng.choice(ids) if ids else "m1"
+        return _insert(rng, text, f'<XMTok xml:id="{dup}">d</XMTok>')
+    if choice == 6:
+        return _replace_one(
+            rng, text, _SELF_CLOSED, lambda m: f"<XMFoo{m.group(2)}/>"
+        )
+    if choice == 7:
+        bodies = ["junk", "<XMTok/>", "<XMFoo/>", " <XMTok/>x"]
+        return _replace_one(
+            rng, text, _REF, lambda m: f"<XMRef{m.group(1)}>{rng.choice(bodies)}</XMRef>"
+        )
+    if choice == 8:
+        return _replace_one(rng, text, _IDREF, lambda m: "")
+    if choice == 9:
+        return _replace_one(rng, text, _IDREF, lambda m: ' idref="nope"')
+    if choice == 10:
+        return _replace_one(
+            rng, text, _XML_ID, lambda m: f'xml:id="{rng.choice(ids)}"'
+        )
+    if choice == 11:
+        return _replace_one(
+            rng, text, _DUAL_START, lambda m: m.group(0) + "<XMTok>e</XMTok>"
+        )
+    if choice == 12:
+        return text[: rng.randrange(len(text) + 1)]
+    if choice == 13:
+        return _wrap(rng, text)
+    nested = ["<XMTok>x<XMFoo/></XMTok>", "<XMApp>y</XMApp>", "<XMDual/>"]
+    return _insert(rng, text, rng.choice(nested))
+
+
+def _outcome(text: str) -> str:
+    try:
+        parse_xmath(text)
+    except ParseError as err:
+        return f"{err.kind.value}|{err.line}|{err.col}|{err.detail}"
+    except Exception as err:  # pinned too: a crash must not creep in
+        return f"crash|{type(err).__name__}"
+    return "ok"
+
+
+def _rejection_corpus() -> list[str]:
+    """Both fixtures and 300 treegen documents, each as is, with 12 single
+    seeded faults and with 6 stacks of 2-4 faults; plus reader faults."""
+    rng = random.Random(20261018)
+    sources = [
+        fixture_text("sum_function.xmath.xml"),
+        fixture_text("quantum_defint.xmath.xml"),
+    ]
+    for i, doc in enumerate(make_corpus(300, seed=4242)):
+        sources.append(serialize_xmath(doc, pretty=bool(i % 2)))
+    texts = []
+    for source in sources:
+        texts.append(source)
+        for _ in range(12):
+            texts.append(_mutate(rng, source))
+        for _ in range(6):
+            text = source
+            for _ in range(rng.randint(2, 4)):
+                text = _mutate(rng, text)
+            texts.append(text)
+    for source in sources[:2]:
+        texts.append("<XMApp>" * 250 + source + "</XMApp>" * 250)
+        texts.append('<!DOCTYPE x [<!ENTITY a "b">]>' + source)
+        texts.append("")
+    return texts
+
+
+#: SHA-256 over the outcomes of _rejection_corpus(), recorded at the commit
+#: before parse_xmath was rewritten to build nodes in the expat callbacks.
+REJECTIONS_DIGEST = "504883e8211295427c9e2573da50382d54ded6b6c00b1075ab4c356dd30a3e5a"
+
+
+def test_rejections_pinned():
+    outcomes = [_outcome(text) for text in _rejection_corpus()]
+    kinds = {line.split("|", 1)[0] for line in outcomes}
+    assert kinds == {"ok"} | {kind.value for kind in ParseErrorKind}
+    details = "\n".join(outcomes)
+    for phrase in (
+        "text content not allowed inside XMApp",
+        "text content not allowed inside Math",
+        "XMTok cannot contain child elements",
+        "XMRef cannot contain child elements",
+        "XMRef requires an idref attribute",
+        "wrapper must contain exactly one element",
+        "nesting deeper",
+        "document type",
+    ):
+        assert phrase in details
+    digest = hashlib.sha256(details.encode("utf-8")).hexdigest()
+    assert digest == REJECTIONS_DIGEST
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        (
+            "<XMApp><XMFoo/>junk</XMApp>",
+            (ParseErrorKind.MALFORMED_XML, 1, 20, "text content not allowed inside XMApp"),
+        ),
+        (
+            "<XMRef>junk</XMRef>",
+            (ParseErrorKind.MALFORMED_XML, 1, 12, "text content not allowed inside XMRef"),
+        ),
+        (
+            "<XMRef><XMTok/></XMRef>",
+            (ParseErrorKind.MALFORMED_XML, 1, 1, "XMRef cannot contain child elements"),
+        ),
+        (
+            "<Math><XMFoo/><XMTok/></Math>",
+            (ParseErrorKind.MALFORMED_XML, 1, 1, "Math wrapper must contain exactly one element"),
+        ),
+        (
+            "<XMApp><XMTok><XMFoo/></XMTok>x</XMApp>",
+            (ParseErrorKind.MALFORMED_XML, 1, 32, "text content not allowed inside XMApp"),
+        ),
+    ],
+)
+def test_rejection_precedence_cases(text, expected):
+    with pytest.raises(ParseError) as excinfo:
+        parse_xmath(text)
+    err = excinfo.value
+    assert (err.kind, err.line, err.col, err.detail) == expected
