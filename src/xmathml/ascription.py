@@ -14,6 +14,10 @@ from .mml import TargetNode
 from .model import Branch, NodeKind, XMathDocument, XMathNode
 from .visibility import VisibilityMap
 
+# Bound once: per node, a lookup through the enum class costs ~10x a global.
+_CONTENT = Branch.CONTENT
+_DUAL, _REF, _TOK, _WRAP = NodeKind.DUAL, NodeKind.REF, NodeKind.TOK, NodeKind.WRAP
+
 
 def ascribe(
     doc: XMathDocument,
@@ -42,7 +46,7 @@ def ascribe(
     if vis.both_visible(current):
         return current
     if container is not None:
-        operator = doc.top_operator(container, Branch.CONTENT)
+        operator = doc.top_operator(container, _CONTENT)
         if operator is not None and not vis.presentation_visible(operator):
             return operator
         return container
@@ -81,9 +85,9 @@ class BranchWalk:
 
     def walk(self, node: XMathNode, container: XMathNode | None) -> TargetNode:
         kind = node.kind
-        if kind is NodeKind.DUAL:
+        if kind is _DUAL:
             return self.walk(node.children[self.branch], node)
-        if kind is NodeKind.REF:
+        if kind is _REF:
             if node.index in self._active_refs:
                 raise ReferenceCycleError("reference cycle via idref", node)
             self._active_refs.add(node.index)
@@ -91,8 +95,8 @@ class BranchWalk:
                 return self.walk(self.doc.resolve_ref(node), container)
             finally:
                 self._active_refs.discard(node.index)
-        if kind is NodeKind.TOK:
+        if kind is _TOK:
             return self.target(self.token(node), node, container, False)
-        if kind is NodeKind.WRAP:
+        if kind is _WRAP:
             return self.wrap(node, container)
         return self.apply(node, container)

@@ -34,20 +34,20 @@ def _write_output(path: str, text: str) -> None:
         Path(path).write_text(text, encoding="utf-8")
 
 
-def _load_table(args: argparse.Namespace) -> MeaningTable:
-    table = MeaningTable.default()
-    if args.expansions:
-        rules = load_expansion_table(Path(args.expansions).read_text("utf-8"))
-        table = table.extended(rules)
-    return table
-
-
 def run(args: argparse.Namespace) -> int:
     """Execute one conversion. 0 on success, 1 on link violations, 2 on errors.
 
     ``args`` is the namespace that the command-line parser produces.
     """
     name = "<stdin>" if args.input == "-" else args.input
+    table = MeaningTable.default()
+    if args.expansions and args.mode in ("parallel", "cmml"):
+        try:
+            rules = load_expansion_table(Path(args.expansions).read_text("utf-8"))
+        except (OSError, ValueError) as exc:
+            print(f"{args.expansions}: error: {exc}", file=sys.stderr)
+            return 2
+        table = table.extended(rules)
     try:
         text = _read_input(args.input)
         if args.mode == "check":
@@ -63,12 +63,12 @@ def run(args: argparse.Namespace) -> int:
                 doc,
                 tex=args.tex,
                 display=args.display,
-                table=_load_table(args),
+                table=table,
             )
         elif args.mode == "pmml":
             math = build_presentation(doc, display=args.display)
         else:
-            math = build_content(doc, table=_load_table(args))
+            math = build_content(doc, table=table)
     except ParseError as exc:
         print(f"{name}:{exc.line}:{exc.col}: error: {exc.detail}", file=sys.stderr)
         return 2

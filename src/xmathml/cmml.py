@@ -132,10 +132,13 @@ def load_expansion_table(text: str) -> dict[str, ExpansionRule]:
         if len(fields) != 3:
             raise ValueError(f"line {lineno}: expected 'meaning arity template'")
         meaning, arity_text, template_text = fields
-        if not arity_text.isdigit():
+        if not arity_text.isdecimal():
             raise ValueError(f"line {lineno}: arity must be an integer")
         template = _parse_template(template_text, f"line {lineno}")
-        rules[meaning] = ExpansionRule(meaning, int(arity_text), template)
+        try:
+            rules[meaning] = ExpansionRule(meaning, int(arity_text), template)
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
     return rules
 
 

@@ -41,13 +41,12 @@ def build_parallel(
     tex: str | None = None,
     display: str | None = None,
     table: MeaningTable | None = None,
-    scheme: IdScheme | None = None,
 ) -> TargetNode:
     """Produce the fully cross-referenced parallel math element."""
     vis = mark_visibility(doc)
     presentation = gen_pmml(doc, vis)
     content = gen_cmml(doc, vis, table)
-    scheme = scheme or IdScheme.infer(doc)
+    scheme = IdScheme.infer(doc)
     registry = build_registry(presentation, content)
     assign_ids(registry, scheme)
     link_xrefs(registry)
@@ -62,12 +61,11 @@ def build_presentation(
     doc: XMathDocument,
     *,
     display: str | None = None,
-    scheme: IdScheme | None = None,
 ) -> TargetNode:
     """Presentation-only math element: ids assigned, no xrefs."""
     vis = mark_visibility(doc)
     presentation = gen_pmml(doc, vis)
-    scheme = scheme or IdScheme.infer(doc)
+    scheme = IdScheme.infer(doc)
     registry = build_registry(pmml=presentation)
     assign_ids(registry, scheme)
     if display is None:
@@ -79,12 +77,11 @@ def build_content(
     doc: XMathDocument,
     *,
     table: MeaningTable | None = None,
-    scheme: IdScheme | None = None,
 ) -> TargetNode:
     """Content-only math element: ids assigned, no xrefs."""
     vis = mark_visibility(doc)
     content = gen_cmml(doc, vis, table)
-    scheme = scheme or IdScheme.infer(doc)
+    scheme = IdScheme.infer(doc)
     registry = build_registry(cmml=content)
     assign_ids(registry, scheme)
     return assemble_single(content, scheme=scheme)

@@ -110,10 +110,9 @@ def assign_ids(registry: AscriptionRegistry, scheme: IdScheme) -> None:
                 base = f"{scheme.prefix}.{counter}"
                 counter += 1
             bases[source_index] = base
+        suffix = CONTENT_ID_SUFFIX if branch is Branch.CONTENT else ""
         for position, node in enumerate(nodes):
-            node_id = base + _suffix_letters(position)
-            if branch is Branch.CONTENT:
-                node_id += CONTENT_ID_SUFFIX
+            node_id = base + _suffix_letters(position) + suffix
             if node_id in seen:
                 raise IdCollisionError(f"output id {node_id!r} allocated twice")
             seen.add(node_id)
@@ -153,7 +152,7 @@ def assemble_parallel(
     tex: str | None = None,
     display: str | None = None,
     *,
-    scheme: IdScheme | None = None,
+    scheme: IdScheme,
 ) -> TargetNode:
     """Wrap linked presentation and content trees into one math element.
 
@@ -161,7 +160,7 @@ def assemble_parallel(
     and never carry xrefs. The TeX annotation (and alttext) appear only
     when tex is given.
     """
-    prefix = (scheme or IdScheme()).prefix
+    prefix = scheme.prefix
     used = _existing_ids(pmml, cmml)
 
     math_attrs: dict[str, str] = {"id": _reserve(prefix, used)}
@@ -195,10 +194,10 @@ def assemble_single(
     root: TargetNode,
     display: str | None = None,
     *,
-    scheme: IdScheme | None = None,
+    scheme: IdScheme,
 ) -> TargetNode:
     """Wrap a single-branch tree (ids, no xrefs) into a bare math element."""
-    prefix = (scheme or IdScheme()).prefix
+    prefix = scheme.prefix
     used = _existing_ids(root)
     attrs: dict[str, str] = {"id": _reserve(prefix, used)}
     if display is not None:

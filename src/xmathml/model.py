@@ -50,6 +50,8 @@ class Branch(IntEnum):
 
 
 _OPPOSITE = (Branch.PRESENTATION, Branch.CONTENT)
+# Bound once: per node, a lookup through the enum class costs ~10x a global.
+_APP, _DUAL, _REF = NodeKind.APP, NodeKind.DUAL, NodeKind.REF
 
 
 @dataclass(slots=True)
@@ -137,7 +139,7 @@ class XMathDocument:
 
     def resolve_ref(self, ref_node: XMathNode) -> XMathNode:
         """Resolve an XMRef one step, to the node carrying its idref as xml:id."""
-        if ref_node.kind is not NodeKind.REF:
+        if ref_node.kind is not _REF:
             raise ValueError("resolve_ref expects an XMRef node")
         try:
             return self.id_index[ref_node.attrs.idref]
@@ -147,7 +149,7 @@ class XMathDocument:
     def deref(self, node: XMathNode) -> XMathNode:
         """Follow XMRef chains to a non-ref node, guarding against cycles."""
         seen: set[int] = set()
-        while node.kind is NodeKind.REF:
+        while node.kind is _REF:
             if node.index in seen:
                 raise ReferenceCycleError("reference cycle via idref", node)
             seen.add(node.index)
@@ -160,10 +162,10 @@ class XMathDocument:
         Refs are chased both for the branch root and for the operator
         position; a branch that is not an application has no operator.
         """
-        if dual.kind is not NodeKind.DUAL:
+        if dual.kind is not _DUAL:
             raise ValueError("top_operator expects an XMDual node")
-        root = self.deref(dual.children[branch.value])
-        if root.kind is not NodeKind.APP or not root.children:
+        root = self.deref(dual.children[branch])
+        if root.kind is not _APP or not root.children:
             return None
         return self.deref(root.children[0])
 

@@ -84,17 +84,13 @@ class RawElement:
     name: str
     attrs: dict[str, str]
     children: list["RawElement"] = field(default_factory=list)
-    chunks: list[tuple[str, int, int]] = field(default_factory=list)
+    text: str = ""
     line: int = 0
     col: int = 0
 
     @property
     def local(self) -> str:
         return self.name.rsplit(":", 1)[-1]
-
-    @property
-    def text(self) -> str:
-        return "".join(chunk for chunk, _, _ in self.chunks)
 
 
 def _read(text: str, start, end, chars) -> None:
@@ -170,7 +166,7 @@ def read_xml_tree(text: str) -> RawElement:
 
     def chars(data: str, line: int, col: int) -> None:
         if stack:
-            stack[-1].chunks.append((data, line, col))
+            stack[-1].text += data
 
     _read(text, start, end, chars)
     if not root:
@@ -186,12 +182,12 @@ def parse_xmath(text: str) -> XMathDocument:
     duplicate ids and dangling idrefs are found by XMathDocument.
 
     Nodes are built in the expat callbacks. Structural faults are held
-    until the reader has accepted the whole text, since a reader fault
-    anywhere wins. Each open element keeps its own best fault by rank
-    (0 unknown element, 1 an XMTok's first child, 2 text, 3 an XMRef's
-    children or a wrapper's child count, 4 an XMRef without idref) and
-    the first fault handed up by a closed child. On closing, its own
-    fault wins, then the inner one, then an XMDual's arity.
+    until the reader has accepted the whole text (a reader fault anywhere
+    wins), and the least is raised: by the start of the element it
+    belongs to, then by rank (0 unknown element, 1 an XMTok's first
+    child, 2 text, 3 an XMRef's children or a wrapper's child count,
+    4 an XMRef without idref, 5 an XMDual's arity, which belongs to the
+    last element inside the dual), then by arrival.
     """
     # Local names: looking up an enum member costs more than most of a
     # callback.
@@ -201,22 +197,18 @@ def parse_xmath(text: str) -> XMathDocument:
     # Math/XMath wrappers and unknown elements open as placeholder nodes
     # of kind None; the wrappers are the bottom len(wrapper_names) ones.
     wrapper_names: list[str] = []
-    # By depth (1 for the outermost element, 0 for the document): the
-    # element's own (rank, fault) and the first fault from inside it.
-    own: dict[int, tuple[int, ParseError]] = {}
-    inner: dict[int, ParseError] = {}
+    faults: list[tuple[int, int, int, int, ParseError]] = []
 
     def hold(
-        depth: int,
+        owner: XMathNode,
         rank: int,
         line: int,
         col: int,
         detail: str,
         kind: ParseErrorKind = ParseErrorKind.MALFORMED_XML,
     ) -> None:
-        held = own.get(depth)
-        if held is None or held[0] > rank:
-            own[depth] = (rank, ParseError(kind, line, col, detail))
+        error = ParseError(kind, line, col, detail)
+        faults.append((owner.line, owner.col, rank, len(faults), error))
 
     def start(name: str, attrs: dict[str, str], line: int, col: int) -> int:
         depth = len(stack)
@@ -248,7 +240,7 @@ def parse_xmath(text: str) -> XMathDocument:
                 kind, [], "" if kind is TOK else None, sem, -1, line, col
             )
             if kind is REF and sem.idref is None:
-                hold(depth + 1, 4, line, col, "XMRef requires an idref attribute")
+                hold(node, 4, line, col, "XMRef requires an idref attribute")
         else:
             node = XMathNode(None, line=line, col=col)
             local = name.rpartition(":")[2]
@@ -256,7 +248,7 @@ def parse_xmath(text: str) -> XMathDocument:
                 wrapper_names.append(local)
             else:
                 hold(
-                    depth + 1,
+                    node,
                     0,
                     line,
                     col,
@@ -267,10 +259,10 @@ def parse_xmath(text: str) -> XMathDocument:
             parent = stack[-1]
             parent.children.append(node)
             if parent.kind is TOK:
-                hold(depth, 1, line, col, "XMTok cannot contain child elements")
+                hold(parent, 1, line, col, "XMTok cannot contain child elements")
             elif parent.kind is REF:
                 hold(
-                    depth,
+                    parent,
                     3,
                     parent.line,
                     parent.col,
@@ -283,35 +275,29 @@ def parse_xmath(text: str) -> XMathDocument:
 
     def end(name: str) -> None:
         node = stack.pop()
-        if own or inner or node.kind is DUAL or node.kind is None:
-            close(len(stack) + 1, node)
-
-    def close(depth: int, node: XMathNode) -> None:
-        below = inner.pop(depth, None)
         count = len(node.children)
-        if depth <= len(wrapper_names):
-            local = wrapper_names.pop()
-            if count != 1:
-                hold(
-                    depth,
-                    3,
-                    node.line,
-                    node.col,
-                    f"{local} wrapper must contain exactly one element",
-                )
-        if node.kind is DUAL and count != 2 and below is None:
+        if node.kind is DUAL and count != 2:
+            last = node
+            while last.children:
+                last = last.children[-1]
             hold(
-                depth,
+                last,
                 5,
                 node.line,
                 node.col,
                 f"XMDual must have exactly 2 children, found {count}",
                 ParseErrorKind.DUAL_ARITY,
             )
-        held = own.pop(depth, None)
-        fault = held[1] if held else below
-        if fault is not None:
-            inner.setdefault(depth - 1, fault)
+        elif len(stack) < len(wrapper_names):
+            local = wrapper_names.pop()
+            if count != 1:
+                hold(
+                    node,
+                    3,
+                    node.line,
+                    node.col,
+                    f"{local} wrapper must contain exactly one element",
+                )
 
     def chars(data: str, line: int, col: int) -> None:
         if not stack:
@@ -321,18 +307,17 @@ def parse_xmath(text: str) -> XMathDocument:
             node.text += data
         elif data.strip():
             depth = len(stack)
-            held = own.get(depth)
-            if held is None or held[0] > 2:
-                local = (
-                    wrapper_names[depth - 1]
-                    if depth <= len(wrapper_names)
-                    else node.kind.value
-                )
-                hold(depth, 2, line, col, f"text content not allowed inside {local}")
+            if depth <= len(wrapper_names):
+                local = wrapper_names[depth - 1]
+            elif node.kind is None:
+                return  # an unknown element's own fault ranks first
+            else:
+                local = node.kind.value
+            hold(node, 2, line, col, f"text content not allowed inside {local}")
 
     _read(text, start, end, chars)
-    if 0 in inner:
-        raise inner[0]
+    if faults:
+        raise min(faults)[4]
     root = top[0]
     while root.kind is None:  # a fault-free wrapper has exactly one child
         root = root.children[0]

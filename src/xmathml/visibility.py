@@ -14,6 +14,8 @@ from .model import NodeKind, XMathDocument, XMathNode
 
 _C = 1
 _P = 2
+# Bound once: per node, a lookup through the enum class costs ~10x a global.
+_DUAL, _REF = NodeKind.DUAL, NodeKind.REF
 
 
 class VisibilityMap:
@@ -50,10 +52,10 @@ def mark_visibility(doc: XMathDocument) -> VisibilityMap:
             continue
         flags[node.index] |= new
         kind = node.kind
-        if kind is NodeKind.DUAL:
+        if kind is _DUAL:
             work.append((node.children[0], new & _C))
             work.append((node.children[1], new & _P))
-        elif kind is NodeKind.REF:
+        elif kind is _REF:
             work.append((doc.resolve_ref(node), new))
         else:
             for child in node.children:

@@ -151,6 +151,27 @@ def test_expansions_flag(tmp_path, capsys):
     assert apply_node.children[1].children[0].text == "v"
 
 
+@pytest.mark.parametrize(
+    "rule, detail",
+    [
+        ("pair two (apply head slot1 slot2)", "arity must be an integer"),
+        ("pair \u00b2 (apply head slot1 slot2)", "arity must be an integer"),
+        ("pair 2 (apply head slot1)", "are not a permutation of 1..2"),
+        ("pair 2 (apply head slot1 slot2", "missing ')'"),
+    ],
+)
+def test_expansions_fault_names_table_file(tmp_path, capsys, rule, detail):
+    table = _write(tmp_path, "rules.txt", "# rules\n" + rule + "\n")
+    source = _write(tmp_path, "input.xml", "<XMTok>a</XMTok>")
+    for mode in ("parallel", "cmml"):
+        code, out, err = _run(capsys, source, "--to", mode, "--expansions", table)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"{table}: error: line 2: ")
+        assert detail in err
+        assert "input.xml" not in err
+
+
 def test_output_file(tmp_path, capsys, sum_function_xmath):
     source = _write(tmp_path, "input.xml", sum_function_xmath)
     out_path = tmp_path / "result.xml"

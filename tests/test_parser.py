@@ -433,6 +433,18 @@ def test_rejections_pinned():
             "<XMApp><XMTok><XMFoo/></XMTok>x</XMApp>",
             (ParseErrorKind.MALFORMED_XML, 1, 32, "text content not allowed inside XMApp"),
         ),
+        (
+            "<XMDual><XMTok/><XMTok/><XMApp><XMFoo/></XMApp></XMDual>",
+            (ParseErrorKind.UNKNOWN_ELEMENT, 1, 32, "unknown element 'XMFoo'"),
+        ),
+        (
+            "<XMApp><XMDual><XMTok/></XMDual><XMFoo/></XMApp>",
+            (ParseErrorKind.DUAL_ARITY, 1, 8, "XMDual must have exactly 2 children, found 1"),
+        ),
+        (
+            "<XMApp><XMDual><XMTok/><XMFoo/></XMDual>x</XMApp>",
+            (ParseErrorKind.MALFORMED_XML, 1, 42, "text content not allowed inside XMApp"),
+        ),
     ],
 )
 def test_rejection_precedence_cases(text, expected):
@@ -440,3 +452,56 @@ def test_rejection_precedence_cases(text, expected):
         parse_xmath(text)
     err = excinfo.value
     assert (err.kind, err.line, err.col, err.detail) == expected
+
+
+_GRAMMAR_NAMES = (
+    "XMApp", "XMTok", "m:XMTok", "XMDual", "XMRef", "XMWrap", "Math", "XMath", "XMFoo"
+)
+
+
+def _random_element(rng, depth):
+    name = rng.choice(_GRAMMAR_NAMES)
+    attrs = ""
+    if rng.random() < 0.4:
+        attrs += f' xml:id="i{rng.randrange(3)}"'
+    if rng.random() < (0.8 if name == "XMRef" else 0.1):
+        attrs += f' idref="i{rng.randrange(5)}"'
+    parts = []
+    for _ in range(rng.randrange(4) if depth < 5 else 0):
+        if rng.random() < 0.15:
+            parts.append(rng.choice([" ", "\n  ", "x", "\n y"]))
+        parts.append(_random_element(rng, depth + 1))
+    if rng.random() < 0.15:
+        parts.append(rng.choice([" ", "\n", "z"]))
+    if not parts:
+        return f"<{name}{attrs}/>"
+    return f"<{name}{attrs}>{''.join(parts)}</{name}>"
+
+
+def _random_rejection_corpus() -> list[str]:
+    """Random documents over nine element names (wrappers at any depth,
+    random xml:id/idref, stray text); one in ten is truncated."""
+    rng = random.Random(20261019)
+    texts = []
+    for _ in range(3000):
+        text = _random_element(rng, 0)
+        if rng.random() < 0.1:
+            text = text[: rng.randrange(len(text))]
+        texts.append(text)
+    return texts
+
+
+#: SHA-256 over the outcomes of _random_rejection_corpus(), recorded at the
+#: commit before parse_xmath chose its fault as the least held one.
+RANDOM_REJECTIONS_DIGEST = (
+    "0559336b8c5b185c40a657f0c493ecbddba40448ea28c3ed3c1118b2ff31f48c"
+)
+
+
+def test_random_rejections_pinned():
+    outcomes = [_outcome(text) for text in _random_rejection_corpus()]
+    kinds = {line.split("|", 1)[0] for line in outcomes}
+    assert kinds == {"ok"} | {kind.value for kind in ParseErrorKind}
+    details = "\n".join(outcomes)
+    digest = hashlib.sha256(details.encode("utf-8")).hexdigest()
+    assert digest == RANDOM_REJECTIONS_DIGEST
