@@ -41,7 +41,7 @@ def run(args: argparse.Namespace) -> int:
     """
     name = "<stdin>" if args.input == "-" else args.input
     table = MeaningTable.default()
-    if args.expansions and args.mode in ("parallel", "cmml"):
+    if args.expansions:
         try:
             rules = load_expansion_table(Path(args.expansions).read_text("utf-8"))
         except (OSError, ValueError) as exc:

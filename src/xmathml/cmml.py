@@ -22,6 +22,8 @@ from .mml import TargetNode
 from .model import Branch, NodeKind, XMathDocument, XMathNode
 from .visibility import VisibilityMap
 
+_TOK = NodeKind.TOK  # bound once: an enum member lookup is slow per node
+
 #: Meanings rendered as bare pragmatic content elements. Most map to the
 #: element of the same name; aliases cover the integral spellings.
 _IDENTITY_ELEMENTS = (
@@ -232,7 +234,7 @@ class _Walk(BranchWalk):
             raise MalformedApplyError("XMApp without an operator", app)
         op_node = app.children[0]
         op = self.doc.deref(op_node)
-        if op.kind is NodeKind.TOK and op.attrs.meaning in self.table.expansions:
+        if op.kind is _TOK and op.attrs.meaning in self.table.expansions:
             rule = self.table.expansions[op.attrs.meaning]
             return self.expand_pragmatic(rule, app, op, app.children[1:], container)
         children = [self.walk(child, container) for child in app.children]

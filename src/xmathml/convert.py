@@ -16,6 +16,8 @@ from .model import NodeKind, XMathDocument
 from .pmml import LARGEOP_ROLES, gen_pmml
 from .visibility import VisibilityMap, mark_visibility
 
+_TOK = NodeKind.TOK  # bound once: an enum member lookup is slow per node
+
 
 def derive_display(doc: XMathDocument, vis: VisibilityMap) -> str | None:
     """Promote a display-styled large operator to display="block".
@@ -26,7 +28,7 @@ def derive_display(doc: XMathDocument, vis: VisibilityMap) -> str | None:
     """
     for node in doc.nodes:
         if (
-            node.kind is NodeKind.TOK
+            node.kind is _TOK
             and node.attrs.mathstyle == "display"
             and node.attrs.role in LARGEOP_ROLES
             and vis.presentation_visible(node)

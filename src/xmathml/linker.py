@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from .errors import IdCollisionError
 from .mml import TargetNode
@@ -20,13 +21,20 @@ from .model import Branch, XMathDocument
 
 CONTENT_ID_SUFFIX = ".cmml"
 
+# Bound once: per node, a lookup through the enum class costs ~10x a global.
+_CONTENT, _PRESENTATION = Branch.CONTENT, Branch.PRESENTATION
+_SOURCE = attrgetter("source")
+_DUPLICATE = "id {!r} appears more than once"
+_LOWERCASE = "abcdefghijklmnopqrstuvwxyz"  # importing string costs ~1.5 ms
+
 
 @dataclass
 class IdScheme:
-    """Prefix and counter state for id allocation."""
+    """Prefix and counter state for id allocation, and the ids last issued."""
 
     prefix: str = "m1"
     next_counter: int = 1
+    issued: set[str] = field(default_factory=set, compare=False, repr=False)
 
     @classmethod
     def infer(cls, doc: XMathDocument) -> "IdScheme":
@@ -65,10 +73,21 @@ class AscriptionRegistry:
     targets: dict[tuple[int, Branch], list[TargetNode]] = field(default_factory=dict)
 
     def add_tree(self, root: TargetNode, branch: Branch) -> None:
-        for node in root.iter():
-            if node.source is None or node.branch is None:
+        targets = self.targets
+        stack = [root]
+        while stack:
+            node = stack.pop()
+            source = node.source
+            if source is None or node.branch is None:
                 raise ValueError(f"unascribed node {node!r} reached the linker")
-            self.targets.setdefault((node.source.index, branch), []).append(node)
+            key = (source.index, branch)
+            group = targets.get(key)
+            if group is None:
+                targets[key] = [node]
+            else:
+                group.append(node)
+            if node.children:
+                stack.extend(reversed(node.children))
 
 
 def build_registry(
@@ -97,7 +116,7 @@ def assign_ids(registry: AscriptionRegistry, scheme: IdScheme) -> None:
 
     A source's base id is its xml:id, else the next fresh ``prefix.k``;
     fresh ids are handed out in registry order, so by each source's first
-    appearance.
+    appearance. The ids it sets are recorded as ``scheme.issued``.
     """
     bases: dict[int, str] = {}
     counter = scheme.next_counter
@@ -117,6 +136,7 @@ def assign_ids(registry: AscriptionRegistry, scheme: IdScheme) -> None:
                 raise IdCollisionError(f"output id {node_id!r} allocated twice")
             seen.add(node_id)
             node.attrs["id"] = node_id
+    scheme.issued = seen
 
 
 def link_xrefs(registry: AscriptionRegistry) -> None:
@@ -130,18 +150,9 @@ def link_xrefs(registry: AscriptionRegistry) -> None:
             node.attrs["xref"] = first_id
 
 
-def _existing_ids(*roots: TargetNode) -> set[str]:
-    ids = set()
-    for root in roots:
-        for node in root.iter():
-            node_id = node.attrs.get("id")
-            if node_id is not None:
-                ids.add(node_id)
-    return ids
-
-
-def _reserve(wrapper_id: str, used: set[str]) -> str:
-    if wrapper_id in used:
+def _wrapper_id(scheme: IdScheme, letter: str = "") -> str:
+    wrapper_id = scheme.prefix + letter
+    if wrapper_id in scheme.issued:
         raise IdCollisionError(f"wrapper id {wrapper_id!r} collides with a node id")
     return wrapper_id
 
@@ -156,26 +167,21 @@ def assemble_parallel(
 ) -> TargetNode:
     """Wrap linked presentation and content trees into one math element.
 
-    The math/semantics/annotation wrappers get prefix, prefix+a/b/c ids
-    and never carry xrefs. The TeX annotation (and alttext) appear only
-    when tex is given.
+    The math/semantics/annotation wrappers get prefix, prefix+a/b/c ids,
+    which must not be among ``scheme.issued``, and never carry xrefs. The
+    TeX annotation (and alttext) appear only when tex is given.
     """
-    prefix = scheme.prefix
-    used = _existing_ids(pmml, cmml)
-
-    math_attrs: dict[str, str] = {"id": _reserve(prefix, used)}
+    math_attrs: dict[str, str] = {"id": _wrapper_id(scheme)}
     if display is not None:
         math_attrs["display"] = display
     if tex is not None:
         math_attrs["alttext"] = tex
     math_attrs["class"] = "ltx_Math"
 
-    semantics = TargetNode(
-        "semantics", {"id": _reserve(prefix + "a", used)}, [pmml]
-    )
+    semantics = TargetNode("semantics", {"id": _wrapper_id(scheme, "a")}, [pmml])
     annotation_xml = TargetNode(
         "annotation-xml",
-        {"id": _reserve(prefix + "b", used), "encoding": "MathML-Content"},
+        {"id": _wrapper_id(scheme, "b"), "encoding": "MathML-Content"},
         [cmml],
     )
     semantics.children.append(annotation_xml)
@@ -183,7 +189,7 @@ def assemble_parallel(
         semantics.children.append(
             TargetNode(
                 "annotation",
-                {"id": _reserve(prefix + "c", used), "encoding": "application/x-tex"},
+                {"id": _wrapper_id(scheme, "c"), "encoding": "application/x-tex"},
                 text=tex,
             )
         )
@@ -197,9 +203,7 @@ def assemble_single(
     scheme: IdScheme,
 ) -> TargetNode:
     """Wrap a single-branch tree (ids, no xrefs) into a bare math element."""
-    prefix = scheme.prefix
-    used = _existing_ids(root)
-    attrs: dict[str, str] = {"id": _reserve(prefix, used)}
+    attrs: dict[str, str] = {"id": _wrapper_id(scheme)}
     if display is not None:
         attrs["display"] = display
     attrs["class"] = "ltx_Math"
@@ -231,22 +235,6 @@ class LinkReport:
 
     def add(self, kind: str, message: str) -> None:
         self.violations.append(LinkViolation(kind, message))
-
-
-_SUFFIXED = re.compile(r"^(.*?)([a-z]+)$")
-
-
-def _strip_suffix_letters(base: str) -> str:
-    match = _SUFFIXED.match(base)
-    if match and match.group(1) and not match.group(1)[-1].islower():
-        return match.group(1)
-    return base
-
-
-def _id_base(node_id: str, branch: Branch) -> str:
-    if branch is Branch.CONTENT and node_id.endswith(CONTENT_ID_SUFFIX):
-        node_id = node_id[: -len(CONTENT_ID_SUFFIX)]
-    return _strip_suffix_letters(node_id)
 
 
 def _locate_branches(math: TargetNode) -> tuple[TargetNode, TargetNode]:
@@ -285,37 +273,41 @@ def check_links(math: TargetNode) -> LinkReport:
     # the presentation side, the content side or the wrappers around them.
     all_ids: dict[str, TargetNode] = {}
     branch_of: dict[str, Branch] = {}
-    content_side = Branch.CONTENT  # an enum member lookup is slow per node
-    sides: dict[Branch, list[TargetNode]] = {
-        Branch.PRESENTATION: [],
-        Branch.CONTENT: [],
-    }
+    sides: dict[Branch, list[TargetNode]] = {_PRESENTATION: [], _CONTENT: []}
     wrappers: list[TargetNode] = []
-    stack: list[tuple[TargetNode, list[TargetNode], Branch | None]] = [
-        (math, wrappers, None)
-    ]
-    while stack:
-        node, bucket, branch = stack.pop()
-        if node is presentation:
-            branch = Branch.PRESENTATION
-            bucket = sides[branch]
-        elif node is content:
-            branch = Branch.CONTENT
-            bucket = sides[branch]
-        bucket.append(node)
-        node_id = node.attrs.get("id")
-        if node_id is not None:
-            if node_id in all_ids:
-                report.add("id-uniqueness", f"id {node_id!r} appears more than once")
-            else:
-                all_ids[node_id] = node
-            if branch is not None and branch_of.get(node_id) is not content_side:
-                branch_of[node_id] = branch
-        stack.extend((child, bucket, branch) for child in reversed(node.children))
 
-    use_sources = all(
-        node.source is not None for nodes in sides.values() for node in nodes
-    )
+    def walk_side(root: TargetNode, branch: Branch) -> None:
+        bucket = sides[branch]
+        # Content claims an id both sides carry, whichever comes first.
+        mark = branch_of.__setitem__ if branch is _CONTENT else branch_of.setdefault
+        stack = [root]
+        while stack:
+            node = stack.pop()
+            bucket.append(node)
+            node_id = node.attrs.get("id")
+            if node_id is not None:
+                if all_ids.setdefault(node_id, node) is not node:
+                    report.add("id-uniqueness", _DUPLICATE.format(node_id))
+                mark(node_id, branch)
+            if node.children:
+                stack.extend(reversed(node.children))
+
+    stack = [math]
+    while stack:
+        node = stack.pop()
+        if node is presentation:
+            walk_side(node, _PRESENTATION)
+        elif node is content:
+            walk_side(node, _CONTENT)
+        else:
+            wrappers.append(node)
+            node_id = node.attrs.get("id")
+            if node_id is not None and all_ids.setdefault(node_id, node) is not node:
+                report.add("id-uniqueness", _DUPLICATE.format(node_id))
+            stack.extend(reversed(node.children))
+    unique = not report.violations  # only id-uniqueness is reported so far
+
+    use_sources = all(None not in map(_SOURCE, nodes) for nodes in sides.values())
     # Wrappers carry no source. When a side node shares a wrapper's id and
     # an xref from the other side names it, that xref reaches the wrapper:
     # classify by ids throughout then, as for a re-parsed tree.
@@ -333,70 +325,76 @@ def check_links(math: TargetNode) -> LinkReport:
             for node in nodes
         )
 
-    def source_class(node: TargetNode, branch: Branch) -> object:
-        if use_sources:
-            return node.source.index
-        return _id_base(node.attrs.get("id", ""), branch)
-
-    # Each id-carrying node's source class, computed once per side.
-    classes: dict[Branch, dict[TargetNode, object]] = {}
-    first_of: dict[tuple[Branch, object], str] = {}
-    for branch, nodes in sides.items():
-        classes[branch] = class_of = {}
+    def classify(nodes: list[TargetNode], branch: Branch) -> tuple[dict, dict]:
+        """Each id-carrying node's source class, and each class's first id."""
+        class_of, first_of = {}, {}
+        strip_suffix = branch is _CONTENT
         for node in nodes:
             node_id = node.attrs.get("id")
             if node_id is None:
                 report.add("id-missing", f"{node.element} node carries no id")
                 continue
-            cls = class_of[node] = source_class(node, branch)
-            first_of.setdefault((branch, cls), node_id)
+            if use_sources:
+                cls = node.source.index
+            else:
+                cls = node_id
+                if strip_suffix and cls.endswith(CONTENT_ID_SUFFIX):
+                    cls = cls[: -len(CONTENT_ID_SUFFIX)]
+                # Then the final run of a-z, unless nothing or another lowercase
+                # letter precedes it; past a final newline, none in the base.
+                core = cls[:-1] if cls[-1:] == "\n" else cls
+                base = core.rstrip(_LOWERCASE)
+                if base != core and base and not (base[-1].islower() or "\n" in base):
+                    cls = base
+            class_of[node] = cls
+            first_of.setdefault(cls, node_id)
+        return class_of, first_of
+
+    classified = {branch: classify(nodes, branch) for branch, nodes in sides.items()}
 
     for node in wrappers:
         if "xref" in node.attrs:
-            report.add(
-                "wrapper-xref", f"wrapper {node.element} must not carry xref"
-            )
+            report.add("wrapper-xref", f"wrapper {node.element} must not carry xref")
 
-    for branch, class_of in classes.items():
+    for branch, (class_of, _) in classified.items():
         opposite = branch.opposite
-        opposite_classes = classes[opposite]
+        opposite_classes, opposite_firsts = classified[opposite]
         for node, cls in class_of.items():
-            node_id = node.attrs["id"]
-            opposite_first = first_of.get((opposite, cls))
             xref = node.attrs.get("xref")
+            opposite_first = opposite_firsts.get(cls)
+            # With every id unique, an xref naming its class's first
+            # opposite node (or no xref where there is none) passes all.
+            if xref == opposite_first and unique:
+                continue
+            node_id = node.attrs["id"]
+            target = all_ids.get(xref)
             if xref is None:
                 if opposite_first is not None:
                     report.add(
                         "missing-xref",
                         f"{node_id} has opposite-branch targets but no xref",
                     )
-                continue
-            target = all_ids.get(xref)
-            if target is None:
+            elif target is None:
                 report.add(
                     "xref-resolution",
                     f"{node_id} points at {xref!r}, which does not exist",
                 )
-                continue
-            if branch_of.get(xref) is not opposite:
+            elif branch_of.get(xref) is not opposite:
                 report.add(
-                    "xref-branch",
-                    f"{node_id} points at {xref!r} in the same branch",
+                    "xref-branch", f"{node_id} points at {xref!r} in the same branch"
                 )
-                continue
             # With duplicate ids the first node carrying xref need not be
             # on the opposite side; its class is then worked out here.
-            if target in opposite_classes:
-                target_cls = opposite_classes[target]
-            else:
-                target_cls = source_class(target, opposite)
-            if target_cls != cls:
+            elif cls != (
+                opposite_classes[target]
+                if target in opposite_classes
+                else classify([target], opposite)[0][target]
+            ):
                 report.add(
                     "shared-source",
                     f"{node_id} and its xref target {xref} have different sources",
                 )
-                continue
-            if opposite_first is not None and xref != opposite_first:
+            elif opposite_first is not None and xref != opposite_first:
                 report.add(
                     "document-order",
                     f"{node_id} should point at {opposite_first}, not {xref}",

@@ -76,15 +76,17 @@ def target_from_raw(raw) -> TargetNode:
     local structure matters to the link checker and round-trip tests.
     Whitespace between child elements is discarded.
     """
-    attrs = {
-        name.rsplit(":", 1)[-1] if name.startswith("xml:") else name: value
-        for name, value in raw.attrs.items()
-        if name != "xmlns" and not name.startswith("xmlns:")
-    }
-    node = TargetNode(raw.local, attrs)
-    if raw.children:
-        node.children = [target_from_raw(child) for child in raw.children]
-        node.text = None
+    attrs = raw.attrs
+    if "xml" in "".join(attrs):
+        # Maybe an xmlns, xmlns:* or xml:* name; a false alarm costs little.
+        attrs = {
+            name.rsplit(":", 1)[-1] if name.startswith("xml:") else name: value
+            for name, value in attrs.items()
+            if name != "xmlns" and not name.startswith("xmlns:")
+        }
     else:
-        node.text = raw.text
-    return node
+        attrs = dict(attrs)
+    local = raw.name.rpartition(":")[2]
+    if raw.children:
+        return TargetNode(local, attrs, list(map(target_from_raw, raw.children)))
+    return TargetNode(local, attrs, [], raw.text)

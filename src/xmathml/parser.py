@@ -75,6 +75,7 @@ _ENTITY_RE = re.compile(r"&([A-Za-z][A-Za-z0-9]*);")
 #: Formulas are desk-scale; deeper nesting is rejected rather than risking
 #: recursion failures in the tree passes.
 MAX_NESTING_DEPTH = 200
+_TOO_DEEP = f"element nesting deeper than {MAX_NESTING_DEPTH}"
 
 
 @dataclass(eq=False, slots=True)
@@ -88,56 +89,37 @@ class RawElement:
     line: int = 0
     col: int = 0
 
-    @property
-    def local(self) -> str:
-        return self.name.rsplit(":", 1)[-1]
+
+def _located(parser, detail: str) -> ParseError:
+    """A MALFORMED_XML error at the parser's current 1-based position."""
+    line, col = parser.CurrentLineNumber, parser.CurrentColumnNumber + 1
+    return ParseError(ParseErrorKind.MALFORMED_XML, line, col, detail)
 
 
-def _read(text: str, start, end, chars) -> None:
-    """Run expat over ``text`` with the reader's safety checks.
+def _read(parser, text: str, start, end, chars) -> None:
+    """Run a fresh expat ``parser`` over ``text`` with the reader's checks.
 
-    Known named character entities are substituted up front (expat knows
-    only the five XML built-ins); document type declarations are refused.
-    ``start(name, attrs, line, col)`` returns the nesting depth of the
-    element it opened, and deeper than MAX_NESTING_DEPTH is refused.
-    ``end(name)`` closes the innermost element, and ``chars(data, line,
-    col)`` receives text, buffered. Positions are 1-based. Every refusal
-    is a located ParseError(MALFORMED_XML).
+    The handlers are installed directly, one Python frame per event; each
+    reads the parser's position only when it needs one, and ``start``
+    raises ``_located(parser, _TOO_DEEP)`` beyond MAX_NESTING_DEPTH. Text
+    arrives buffered, known named character entities are substituted up
+    front (expat knows only the five XML built-ins), and document type
+    declarations are refused. Every refusal is a located MALFORMED_XML.
     """
-    text = _ENTITY_RE.sub(
-        lambda m: NAMED_ENTITIES.get(m.group(1), m.group(0)), text
-    )
-    parser = xml.parsers.expat.ParserCreate()
-    parser.buffer_text = True
-
-    def on_start(name: str, attrs: dict[str, str]) -> None:
-        line = parser.CurrentLineNumber
-        col = parser.CurrentColumnNumber + 1
-        if start(name, attrs, line, col) > MAX_NESTING_DEPTH:
-            raise ParseError(
-                ParseErrorKind.MALFORMED_XML,
-                line,
-                col,
-                f"element nesting deeper than {MAX_NESTING_DEPTH}",
-            )
-
-    def on_chars(data: str) -> None:
-        chars(data, parser.CurrentLineNumber, parser.CurrentColumnNumber + 1)
 
     def doctype(*_args) -> None:
         # Inline DTDs allow unbounded entity amplification; formula files
         # never carry them.
-        raise ParseError(
-            ParseErrorKind.MALFORMED_XML,
-            parser.CurrentLineNumber,
-            parser.CurrentColumnNumber + 1,
-            "document type declarations are not supported",
-        )
+        raise _located(parser, "document type declarations are not supported")
 
-    parser.StartElementHandler = on_start
+    parser.buffer_text = True
+    parser.StartElementHandler = start
     parser.EndElementHandler = end
-    parser.CharacterDataHandler = on_chars
+    parser.CharacterDataHandler = chars
     parser.StartDoctypeDeclHandler = doctype
+    text = _ENTITY_RE.sub(
+        lambda m: NAMED_ENTITIES.get(m.group(1), m.group(0)), text
+    )
     try:
         parser.Parse(text, True)
     except xml.parsers.expat.ExpatError as exc:
@@ -152,26 +134,28 @@ def read_xml_tree(text: str) -> RawElement:
 
     Raises ParseError(MALFORMED_XML) on any well-formedness problem.
     """
-    root: list[RawElement] = []
-    stack: list[RawElement] = []
+    parser = xml.parsers.expat.ParserCreate()
+    # A document node at the bottom of the stack gives every element a
+    # parent to join.
+    document = RawElement("", {})
+    stack = [document]
 
-    def start(name: str, attrs: dict[str, str], line: int, col: int) -> int:
-        elem = RawElement(name, attrs, line=line, col=col)
-        (stack[-1].children if stack else root).append(elem)
+    def start(name: str, attrs: dict[str, str]) -> None:
+        if len(stack) > MAX_NESTING_DEPTH:
+            raise _located(parser, _TOO_DEEP)
+        line, col = parser.CurrentLineNumber, parser.CurrentColumnNumber + 1
+        elem = RawElement(name, attrs, [], "", line, col)
+        stack[-1].children.append(elem)
         stack.append(elem)
-        return len(stack)
 
-    def end(name: str) -> None:
+    def end(_name: str) -> None:
         stack.pop()
 
-    def chars(data: str, line: int, col: int) -> None:
-        if stack:
-            stack[-1].text += data
+    def chars(data: str) -> None:
+        stack[-1].text += data
 
-    _read(text, start, end, chars)
-    if not root:
-        raise ParseError(ParseErrorKind.MALFORMED_XML, 1, 1, "no element found")
-    return root[0]
+    _read(parser, text, start, end, chars)
+    return document.children[0]  # expat refuses a text without an element
 
 
 def parse_xmath(text: str) -> XMathDocument:
@@ -192,6 +176,7 @@ def parse_xmath(text: str) -> XMathDocument:
     # Local names: looking up an enum member costs more than most of a
     # callback.
     TOK, REF, DUAL = NodeKind.TOK, NodeKind.REF, NodeKind.DUAL
+    parser = xml.parsers.expat.ParserCreate()
     top: list[XMathNode] = []
     stack: list[XMathNode] = []
     # Math/XMath wrappers and unknown elements open as placeholder nodes
@@ -210,8 +195,11 @@ def parse_xmath(text: str) -> XMathDocument:
         error = ParseError(kind, line, col, detail)
         faults.append((owner.line, owner.col, rank, len(faults), error))
 
-    def start(name: str, attrs: dict[str, str], line: int, col: int) -> int:
+    def start(name: str, attrs: dict[str, str]) -> None:
         depth = len(stack)
+        if depth >= MAX_NESTING_DEPTH:
+            raise _located(parser, _TOO_DEEP)
+        line, col = parser.CurrentLineNumber, parser.CurrentColumnNumber + 1
         kind = ELEMENT_KINDS.get(name) or ELEMENT_KINDS.get(name.rpartition(":")[2])
         if kind is not None:
             sem = SemanticAttrs()
@@ -271,7 +259,6 @@ def parse_xmath(text: str) -> XMathDocument:
         else:
             top.append(node)
         stack.append(node)
-        return depth + 1
 
     def end(name: str) -> None:
         node = stack.pop()
@@ -299,10 +286,8 @@ def parse_xmath(text: str) -> XMathDocument:
                     f"{local} wrapper must contain exactly one element",
                 )
 
-    def chars(data: str, line: int, col: int) -> None:
-        if not stack:
-            return
-        node = stack[-1]
+    def chars(data: str) -> None:
+        node = stack[-1]  # expat reports no text outside the root
         if node.kind is TOK:
             node.text += data
         elif data.strip():
@@ -313,9 +298,10 @@ def parse_xmath(text: str) -> XMathDocument:
                 return  # an unknown element's own fault ranks first
             else:
                 local = node.kind.value
+            line, col = parser.CurrentLineNumber, parser.CurrentColumnNumber + 1
             hold(node, 2, line, col, f"text content not allowed inside {local}")
 
-    _read(text, start, end, chars)
+    _read(parser, text, start, end, chars)
     if faults:
         raise min(faults)[4]
     root = top[0]

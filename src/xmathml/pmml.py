@@ -14,6 +14,8 @@ from .mml import TargetNode
 from .model import Branch, NodeKind, XMathDocument, XMathNode
 from .visibility import VisibilityMap
 
+_APP, _TOK = NodeKind.APP, NodeKind.TOK  # bound once: enum lookups are slow per node
+
 APPLY_FUNCTION = "⁡"
 INVISIBLE_TIMES = "⁢"
 
@@ -102,7 +104,7 @@ class _Walk(BranchWalk):
         op_node = app.children[0]
         args = app.children[1:]
         op = self.doc.deref(op_node)
-        role = op.attrs.role if op.kind is NodeKind.TOK else None
+        role = op.attrs.role if op.kind is _TOK else None
 
         if role in ("SUPERSCRIPTOP", "SUBSCRIPTOP") and len(args) == 2:
             return self._script(app, op, args, container)
@@ -164,10 +166,10 @@ class _Walk(BranchWalk):
         The script operator tokens themselves never produce output.
         """
         inner = self.doc.deref(base)
-        if inner.kind is not NodeKind.APP or len(inner.children) != 3:
+        if inner.kind is not _APP or len(inner.children) != 3:
             return None
         inner_op = self.doc.deref(inner.children[0])
-        if inner_op.kind is not NodeKind.TOK or inner_op.attrs.role != "SUBSCRIPTOP":
+        if inner_op.kind is not _TOK or inner_op.attrs.role != "SUBSCRIPTOP":
             return None
         if inner_op.attrs.scriptpos != op.attrs.scriptpos:
             return None

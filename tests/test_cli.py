@@ -172,6 +172,24 @@ def test_expansions_fault_names_table_file(tmp_path, capsys, rule, detail):
         assert "input.xml" not in err
 
 
+@pytest.mark.parametrize(
+    "mode, fixture", [("pmml", "sum_function_xmath"), ("check", "sum_function_mathml")]
+)
+def test_expansions_read_in_every_mode(tmp_path, capsys, request, mode, fixture):
+    """A bad --expansions table is an error even where no content is built."""
+    source = _write(tmp_path, "input.xml", request.getfixturevalue(fixture))
+    assert _run(capsys, source, "--to", mode)[0] == 0
+    missing = str(tmp_path / "missing.txt")
+    code, out, err = _run(capsys, source, "--to", mode, "--expansions", missing)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"{missing}: error: ")
+    malformed = _write(tmp_path, "rules.txt", "pair two (apply head slot1 slot2)\n")
+    code, out, err = _run(capsys, source, "--to", mode, "--expansions", malformed)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"{malformed}: error: line 1: ")
+    assert "input.xml" not in err
+
+
 def test_output_file(tmp_path, capsys, sum_function_xmath):
     source = _write(tmp_path, "input.xml", sum_function_xmath)
     out_path = tmp_path / "result.xml"

@@ -1,10 +1,15 @@
 from __future__ import annotations
 
+import hashlib
+import random
+
 import pytest
 
 from xmathml import (
+    EntityMode,
     IdScheme,
     NodeKind,
+    SerializeOptions,
     assemble_parallel,
     assign_ids,
     build_parallel,
@@ -21,6 +26,7 @@ from xmathml import (
 from xmathml.errors import IdCollisionError
 from xmathml.linker import _suffix_letters
 from helpers import parse_mathml
+from treegen import make_corpus
 
 
 def _linked(doc, scheme=None):
@@ -303,3 +309,95 @@ def test_source_level_bijection(quantum_doc):
         xrefs = {n.attrs["xref"] for n in nodes}
         assert xrefs == {opposite[0].attrs["id"]}
         assert opposite[0].attrs["xref"] == nodes[0].attrs["id"]
+
+
+_VIOLATION_KINDS = frozenset(
+    {
+        "id-uniqueness",
+        "id-missing",
+        "wrapper-xref",
+        "missing-xref",
+        "xref-resolution",
+        "xref-branch",
+        "shared-source",
+        "document-order",
+    }
+)
+
+_REPARSE_MODES = (
+    SerializeOptions(),
+    SerializeOptions(entity_mode=EntityMode.NUMERIC_REFS),
+    SerializeOptions(pretty=True),
+    SerializeOptions(namespace_prefix="m"),
+)
+
+
+def _mutate(math, rng) -> None:
+    """Apply 1-3 random id/xref edits to an assembled math element."""
+    nodes = list(math.iter())
+    wrapper_id = math.attrs["id"]
+    for _ in range(rng.randint(1, 3)):
+        node = rng.choice(nodes)
+        other = rng.choice(nodes)
+        kind = rng.randrange(7)
+        if kind == 0 and "id" in other.attrs:  # a copied id
+            node.attrs["id"] = other.attrs["id"]
+        elif kind == 1 and "id" in other.attrs:  # an xref to another node's id
+            node.attrs["xref"] = other.attrs["id"]
+        elif kind == 2:  # a dropped id or xref
+            node.attrs.pop(rng.choice(("id", "xref")), None)
+        elif kind == 3:  # a dangling xref
+            node.attrs["xref"] = "nowhere"
+        elif kind == 4:  # a wrapper-like id
+            node.attrs["id"] = wrapper_id + rng.choice(("", "a"))
+        elif kind == 5 and "id" in node.attrs:  # a letter-ending id
+            node.attrs["id"] += rng.choice(("x", "psi"))
+        elif kind == 6:  # a letter-ending id beside no base of its own
+            node.attrs["id"] = "p1psi"
+
+
+#: SHA-256 over the report lines of _check_reports(), recorded at
+#: the commit before the check path's reader, target_from_raw and
+#: check_links were made cheaper.
+CHECK_REPORTS_DIGEST = (
+    "c740e8f07390d31e89426f62cfb08b545dbad73fb9d715580e919c0a2cef4714"
+)
+
+
+def _check_reports(sum_function_xmath, quantum_xmath):
+    rng = random.Random(20261018)
+    docs = [
+        (parse_xmath(sum_function_xmath), "a+F(a,b)"),
+        (parse_xmath(quantum_xmath), "..."),
+    ]
+    docs += [(doc, "t") for doc in make_corpus(200, seed=20261018)]
+    reports = []
+    for doc, tex in docs:
+        math = build_parallel(doc, tex=tex)
+        texts = [serialize_mathml(math, opts) for opts in _REPARSE_MODES]
+        reports.append(check_links(math).lines())
+        for _ in range(2):
+            saved = [(node, dict(node.attrs)) for node in math.iter()]
+            _mutate(math, rng)
+            reports.append(check_links(math).lines())
+            for node, attrs in saved:
+                node.attrs = attrs
+        for text in texts:
+            reports.append(check_links(parse_mathml(text)).lines())
+            for _ in range(2):
+                reparsed = parse_mathml(text)
+                _mutate(reparsed, rng)
+                reports.append(check_links(reparsed).lines())
+    return reports
+
+
+def test_check_reports_pinned(sum_function_xmath, quantum_xmath):
+    """check_links reports, in memory and re-parsed from four serialize
+    modes, clean and mutated, are identical to the recorded ones."""
+    reports = _check_reports(sum_function_xmath, quantum_xmath)
+    kinds = {line.split(":", 1)[0] for lines in reports for line in lines}
+    assert kinds == _VIOLATION_KINDS
+    assert sum(not lines for lines in reports) > len(reports) // 3
+    details = "\n\n".join("\n".join(lines) for lines in reports)
+    digest = hashlib.sha256(details.encode("utf-8")).hexdigest()
+    assert digest == CHECK_REPORTS_DIGEST

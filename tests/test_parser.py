@@ -13,11 +13,13 @@ from xmathml import (
     ParseError,
     ParseErrorKind,
     parse_xmath,
+    read_xml_tree,
     serialize_xmath,
     structurally_equal,
 )
 from conftest import fixture_text
 from helpers import KNOWN_ROLES
+from xmathml.parser import MAX_NESTING_DEPTH
 from treegen import make_corpus, random_document
 
 
@@ -227,6 +229,56 @@ def test_nesting_depth_cap():
         parse_xmath(deep)
     assert excinfo.value.kind is ParseErrorKind.MALFORMED_XML
     assert "nesting" in excinfo.value.detail
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        (
+            '<!DOCTYPE math [<!ENTITY a "b">]>\n<math>&a;</math>',
+            (1, 16, "document type declarations are not supported"),
+        ),
+        (
+            "<mrow>" * (MAX_NESTING_DEPTH + 1) + "</mrow>" * (MAX_NESTING_DEPTH + 1),
+            (1, 1201, f"element nesting deeper than {MAX_NESTING_DEPTH}"),
+        ),
+        (
+            "<math>\n" + "<mrow>" * 250,
+            (2, 1195, f"element nesting deeper than {MAX_NESTING_DEPTH}"),
+        ),
+        ('<math id="m1"><semantics><mi>a</mi>', (1, 36, "no element found")),
+        ("<math><mi>a</mo></math>", (1, 14, "mismatched tag")),
+        ("", (1, 1, "no element found")),
+        ("  \n", (2, 1, "no element found")),
+        ("<math><mo>&Foo;</mo></math>", (1, 11, "undefined entity")),
+        # Columns after a substituted named entity count the substitute.
+        (
+            "<math><mo>&InvisibleTimes;</mo><mi>&Foo;</mi></math>",
+            (1, 21, "undefined entity"),
+        ),
+        (
+            "<math><mo>&InvisibleTimes;</mo>\n<mi>&Foo;</mi></math>",
+            (2, 5, "undefined entity"),
+        ),
+    ],
+)
+def test_read_xml_tree_refusals(text, expected):
+    """The MathML re-reader's refusals keep their kind, position and detail."""
+    with pytest.raises(ParseError) as excinfo:
+        read_xml_tree(text)
+    err = excinfo.value
+    assert (err.kind, err.line, err.col, err.detail) == (
+        ParseErrorKind.MALFORMED_XML,
+        *expected,
+    )
+
+
+def test_read_xml_tree_accepts_depth_cap_and_named_entities():
+    at_cap = "<mrow>" * MAX_NESTING_DEPTH + "</mrow>" * MAX_NESTING_DEPTH
+    assert read_xml_tree(at_cap).name == "mrow"
+    root = read_xml_tree("<math>\n<mo>&InvisibleTimes;</mo></math>")
+    mo = root.children[0]
+    assert (mo.name, mo.text, mo.line, mo.col) == ("mo", "\u2062", 2, 1)
 
 
 def test_fixture_roles_are_known(sum_function_xmath, quantum_xmath):
