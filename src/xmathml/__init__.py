@@ -49,9 +49,8 @@ from .model import (
     SemanticAttrs,
     XMathDocument,
     XMathNode,
-    structurally_equal,
 )
-from .parser import parse_xmath, read_xml_tree, serialize_xmath
+from .parser import parse_xmath, read_xml_tree
 from .pmml import gen_pmml, token_to_pmml
 from .serializer import EntityMode, SerializeOptions, serialize_mathml
 from .visibility import VisibilityMap, mark_visibility
@@ -102,8 +101,6 @@ __all__ = [
     "read_xml_tree",
     "same_shape",
     "serialize_mathml",
-    "serialize_xmath",
-    "structurally_equal",
     "target_from_raw",
     "token_to_cmml",
     "token_to_pmml",

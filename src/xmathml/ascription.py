@@ -69,6 +69,9 @@ class BranchWalk:
         self.doc = doc
         self.vis = vis
         self._active_refs: set[int] = set()
+        # Token index -> (element, attrs, text) for tokens met while chasing
+        # a ref: each is mapped once; every copy gets its own node and attrs.
+        self._tokens: dict[int, tuple] = {}
 
     def target(
         self,
@@ -96,7 +99,15 @@ class BranchWalk:
             finally:
                 self._active_refs.discard(node.index)
         if kind is _TOK:
-            return self.target(self.token(node), node, container, False)
+            if not self._active_refs:  # only a ref leads to a token twice
+                return self.target(self.token(node), node, container, False)
+            made = self._tokens.get(node.index)
+            if made is None:
+                built = self.token(node)
+                made = self._tokens[node.index] = built.element, built.attrs, built.text
+            name, attrs, text = made
+            source = ascribe(self.doc, self.vis, node, container, False)
+            return TargetNode(name, attrs.copy(), [], text, source, self.branch, node)
         if kind is _WRAP:
             return self.wrap(node, container)
         return self.apply(node, container)

@@ -23,6 +23,7 @@ CONTENT_ID_SUFFIX = ".cmml"
 
 # Bound once: per node, a lookup through the enum class costs ~10x a global.
 _CONTENT, _PRESENTATION = Branch.CONTENT, Branch.PRESENTATION
+_BRANCH_ORDER = (_PRESENTATION, _CONTENT)
 _SOURCE = attrgetter("source")
 _DUPLICATE = "id {!r} appears more than once"
 _LOWERCASE = "abcdefghijklmnopqrstuvwxyz"  # importing string costs ~1.5 ms
@@ -62,32 +63,43 @@ class IdScheme:
         return cls(prefix, highest + 1)
 
 
-@dataclass
 class AscriptionRegistry:
-    """All generated targets grouped by (source, branch), in document order.
+    """Every generated target, grouped by source within its branch.
 
-    Keys follow first appearance in the order the trees were added;
-    build_registry adds presentation before content.
+    ``groups[branch]`` maps a source's document index to its nodes in
+    that branch's tree, in document order; keys follow first appearance.
+    It is indexed by the ``Branch`` value.
     """
 
-    targets: dict[tuple[int, Branch], list[TargetNode]] = field(default_factory=dict)
+    def __init__(self) -> None:
+        self.groups: tuple[dict[int, list[TargetNode]], ...] = ({}, {})
 
     def add_tree(self, root: TargetNode, branch: Branch) -> None:
-        targets = self.targets
+        groups = self.groups[branch]
+        get = groups.get
         stack = [root]
         while stack:
             node = stack.pop()
             source = node.source
             if source is None or node.branch is None:
                 raise ValueError(f"unascribed node {node!r} reached the linker")
-            key = (source.index, branch)
-            group = targets.get(key)
+            group = get(source.index)
             if group is None:
-                targets[key] = [node]
+                groups[source.index] = [node]
             else:
                 group.append(node)
             if node.children:
                 stack.extend(reversed(node.children))
+
+    @property
+    def targets(self) -> dict[tuple[int, Branch], list[TargetNode]]:
+        """Derived, read-only view: ``{(source index, branch): nodes}``,
+        keyed by first appearance, presentation before content."""
+        return {
+            (index, branch): nodes
+            for branch in _BRANCH_ORDER
+            for index, nodes in self.groups[branch].items()
+        }
 
 
 def build_registry(
@@ -111,43 +123,56 @@ def _suffix_letters(index: int) -> str:
     return letters
 
 
+# The suffixes "", a-z, aa-zz of a source's first 703 nodes within a branch.
+_SUFFIXES = ("", *_LOWERCASE, *(a + b for a in _LOWERCASE for b in _LOWERCASE))
+
+
 def assign_ids(registry: AscriptionRegistry, scheme: IdScheme) -> None:
     """Set the id attribute on every registered target node.
 
     A source's base id is its xml:id, else the next fresh ``prefix.k``;
-    fresh ids are handed out in registry order, so by each source's first
-    appearance. The ids it sets are recorded as ``scheme.issued``.
+    fresh ids are handed out by each source's first appearance,
+    presentation before content. The ids it sets are recorded as
+    ``scheme.issued``.
     """
     bases: dict[int, str] = {}
     counter = scheme.next_counter
-    seen: set[str] = set()
-    for (source_index, branch), nodes in registry.targets.items():
-        base = bases.get(source_index)
-        if base is None:
-            base = nodes[0].source.attrs.xml_id
+    issued: list[str] = []
+    append = issued.append
+    for branch in _BRANCH_ORDER:
+        suffix = CONTENT_ID_SUFFIX if branch is _CONTENT else ""
+        for index, nodes in registry.groups[branch].items():
+            base = bases.get(index)
             if base is None:
-                base = f"{scheme.prefix}.{counter}"
-                counter += 1
-            bases[source_index] = base
-        suffix = CONTENT_ID_SUFFIX if branch is Branch.CONTENT else ""
-        for position, node in enumerate(nodes):
-            node_id = base + _suffix_letters(position) + suffix
+                base = nodes[0].source.attrs.xml_id
+                if base is None:
+                    base = f"{scheme.prefix}.{counter}"
+                    counter += 1
+                bases[index] = base
+            for k, node in enumerate(nodes):
+                letters = _SUFFIXES[k] if k < 703 else _suffix_letters(k)
+                node.attrs["id"] = node_id = base + letters + suffix
+                append(node_id)
+    seen = set(issued)
+    if len(seen) != len(issued):
+        seen.clear()
+        for node_id in issued:
             if node_id in seen:
                 raise IdCollisionError(f"output id {node_id!r} allocated twice")
             seen.add(node_id)
-            node.attrs["id"] = node_id
     scheme.issued = seen
 
 
 def link_xrefs(registry: AscriptionRegistry) -> None:
     """Point every node at the first opposite-branch node sharing its source."""
-    for (source_index, branch), nodes in registry.targets.items():
-        opposite = registry.targets.get((source_index, branch.opposite))
-        if not opposite:
-            continue
-        first_id = opposite[0].attrs["id"]
-        for node in nodes:
-            node.attrs["xref"] = first_id
+    for branch in _BRANCH_ORDER:
+        opposite = registry.groups[branch.opposite]
+        for index, nodes in registry.groups[branch].items():
+            targets = opposite.get(index)
+            if targets is not None:
+                first_id = targets[0].attrs["id"]
+                for node in nodes:
+                    node.attrs["xref"] = first_id
 
 
 def _wrapper_id(scheme: IdScheme, letter: str = "") -> str:

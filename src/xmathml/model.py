@@ -148,6 +148,8 @@ class XMathDocument:
 
     def deref(self, node: XMathNode) -> XMathNode:
         """Follow XMRef chains to a non-ref node, guarding against cycles."""
+        if node.kind is not _REF:
+            return node
         seen: set[int] = set()
         while node.kind is _REF:
             if node.index in seen:
@@ -168,14 +170,3 @@ class XMathDocument:
         if root.kind is not _APP or not root.children:
             return None
         return self.deref(root.children[0])
-
-
-def structurally_equal(a: XMathNode, b: XMathNode) -> bool:
-    """Compare two trees by shape, text and attributes (not identity)."""
-    if a.kind is not b.kind or a.text != b.text:
-        return False
-    if a.attrs != b.attrs:
-        return False
-    if len(a.children) != len(b.children):
-        return False
-    return all(structurally_equal(x, y) for x, y in zip(a.children, b.children))

@@ -1,4 +1,4 @@
-"""Parsing and serialization of XMath XML.
+"""Parsing of XMath XML.
 
 The reader is built directly on expat so that every diagnostic carries a
 line/column, and it is shared with the MathML re-reader used by the link
@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import re
 import xml.parsers.expat
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 from .errors import ParseError, ParseErrorKind
 from .model import ELEMENT_KINDS, NodeKind, SemanticAttrs, XMathDocument, XMathNode
-from .serializer import escape_attr, escape_text
 
 #: Wrapper elements tolerated around the actual XMath root.
 WRAPPER_ELEMENTS = frozenset({"Math", "XMath"})
@@ -71,6 +71,7 @@ NAMED_ENTITIES.update(
 )
 
 _ENTITY_RE = re.compile(r"&([A-Za-z][A-Za-z0-9]*);")
+_LINE_BREAK = re.compile(r"\r\n?|\n")  # what expat counts as a new line
 
 #: Formulas are desk-scale; deeper nesting is rejected rather than risking
 #: recursion failures in the tree passes.
@@ -96,7 +97,36 @@ def _located(parser, detail: str) -> ParseError:
     return ParseError(ParseErrorKind.MALFORMED_XML, line, col, detail)
 
 
-def _read(parser, text: str, start, end, chars) -> None:
+def _substitute(text: str) -> tuple[str, dict]:
+    """Replace the known named entities. Per line with a replacement, also
+    give the 1-based columns of the replacements in the new text and the
+    columns removed up to and including each."""
+    pieces, shifts = [], {}
+    line, line_start, last, removed = 1, 0, 0, 0
+    for match in _ENTITY_RE.finditer(text):
+        value = NAMED_ENTITIES.get(match.group(1))
+        if value is not None:
+            start = match.start()
+            for brk in _LINE_BREAK.finditer(text, last, start):
+                line, line_start, removed = line + 1, brk.end(), 0
+            cols, totals = shifts.setdefault(line, ([], []))
+            cols.append(start - line_start - removed + 1)
+            removed += len(match.group()) - 1
+            totals.append(removed)
+            pieces += (text[last:start], value)
+            last = match.end()
+    pieces.append(text[last:])
+    return "".join(pieces), shifts
+
+
+def _source_col(shifts: dict, line: int, col: int) -> int:
+    """The column in the text as given of a column in the substituted text."""
+    cols, totals = shifts.get(line, ((), ()))
+    before = bisect_left(cols, col)  # replacements left of col
+    return col + totals[before - 1] if before else col
+
+
+def _read(parser, text: str, start, end, chars, roots: list) -> dict:
     """Run a fresh expat ``parser`` over ``text`` with the reader's checks.
 
     The handlers are installed directly, one Python frame per event; each
@@ -105,6 +135,10 @@ def _read(parser, text: str, start, end, chars) -> None:
     arrives buffered, known named character entities are substituted up
     front (expat knows only the five XML built-ins), and document type
     declarations are refused. Every refusal is a located MALFORMED_XML.
+
+    Columns are given in the text as written: errors here and the nodes
+    under ``roots`` are moved back past substituted entities, and the
+    returned shifts (empty for a text without ``&``) serve ``_source_col``.
     """
 
     def doctype(*_args) -> None:
@@ -117,16 +151,25 @@ def _read(parser, text: str, start, end, chars) -> None:
     parser.EndElementHandler = end
     parser.CharacterDataHandler = chars
     parser.StartDoctypeDeclHandler = doctype
-    text = _ENTITY_RE.sub(
-        lambda m: NAMED_ENTITIES.get(m.group(1), m.group(0)), text
-    )
+    shifts: dict = {}
+    if "&" in text:
+        text, shifts = _substitute(text)
     try:
         parser.Parse(text, True)
     except xml.parsers.expat.ExpatError as exc:
+        line, col = exc.lineno, exc.offset + 1
         detail = xml.parsers.expat.errors.messages[exc.code]
-        raise ParseError(
-            ParseErrorKind.MALFORMED_XML, exc.lineno, exc.offset + 1, detail
-        ) from None
+    except ParseError as exc:  # raised by a handler
+        line, col, detail = exc.line, exc.col, exc.detail
+    else:
+        nodes = list(roots) if shifts else []
+        while nodes:
+            node = nodes.pop()
+            node.col = _source_col(shifts, node.line, node.col)
+            nodes.extend(node.children)
+        return shifts
+    col = _source_col(shifts, line, col)
+    raise ParseError(ParseErrorKind.MALFORMED_XML, line, col, detail) from None
 
 
 def read_xml_tree(text: str) -> RawElement:
@@ -154,7 +197,7 @@ def read_xml_tree(text: str) -> RawElement:
     def chars(data: str) -> None:
         stack[-1].text += data
 
-    _read(parser, text, start, end, chars)
+    _read(parser, text, start, end, chars, document.children)
     return document.children[0]  # expat refuses a text without an element
 
 
@@ -301,63 +344,12 @@ def parse_xmath(text: str) -> XMathDocument:
             line, col = parser.CurrentLineNumber, parser.CurrentColumnNumber + 1
             hold(node, 2, line, col, f"text content not allowed inside {local}")
 
-    _read(parser, text, start, end, chars)
+    shifts = _read(parser, text, start, end, chars, top)
     if faults:
-        raise min(faults)[4]
+        error = min(faults)[4]
+        col = _source_col(shifts, error.line, error.col)
+        raise ParseError(error.kind, error.line, col, error.detail)
     root = top[0]
     while root.kind is None:  # a fault-free wrapper has exactly one child
         root = root.children[0]
     return XMathDocument(root)
-
-
-def _xmath_attr_map(node: XMathNode) -> dict[str, str]:
-    s = node.attrs
-    out: dict[str, str] = {}
-    for name, value in (
-        ("role", s.role),
-        ("meaning", s.meaning),
-        ("xml:id", s.xml_id),
-        ("idref", s.idref),
-        ("font", s.font),
-        ("mathstyle", s.mathstyle),
-        ("scriptpos", s.scriptpos),
-    ):
-        if value is not None:
-            out[name] = value
-    if s.stretchy is not None:
-        out["stretchy"] = "true" if s.stretchy else "false"
-    out.update(s.extra)
-    return dict(sorted(out.items()))
-
-
-def serialize_xmath(doc: XMathDocument, *, pretty: bool = True) -> str:
-    """Serialize a document back to XMath XML.
-
-    Attribute order is normalized alphabetically, so output is
-    deterministic and parse(serialize(d)) is structurally equal to d.
-    """
-    parts: list[str] = []
-    _emit(doc.root, 0, parts, pretty)
-    return "".join(parts) + "\n"
-
-
-def _emit(node: XMathNode, depth: int, parts: list[str], pretty: bool) -> None:
-    indent = "  " * depth if pretty else ""
-    newline = "\n" if pretty else ""
-    name = node.kind.value
-    attr_text = "".join(
-        f' {key}="{escape_attr(value)}"' for key, value in _xmath_attr_map(node).items()
-    )
-    if node.kind is NodeKind.TOK:
-        if node.text:
-            parts.append(f"{indent}<{name}{attr_text}>{escape_text(node.text)}</{name}>")
-        else:
-            parts.append(f"{indent}<{name}{attr_text}/>")
-        parts.append(newline)
-    elif not node.children:
-        parts.append(f"{indent}<{name}{attr_text}/>{newline}")
-    else:
-        parts.append(f"{indent}<{name}{attr_text}>{newline}")
-        for child in node.children:
-            _emit(child, depth + 1, parts, pretty)
-        parts.append(f"{indent}</{name}>{newline}")

@@ -81,6 +81,7 @@ def serialize_mathml(root: TargetNode, opts: SerializeOptions | None = None) -> 
     """
     opts = opts or SerializeOptions()
     mode = opts.entity_mode
+    numeric = mode is EntityMode.NUMERIC_REFS
     step = "  " if opts.pretty else ""
     newline = "\n" if opts.pretty else ""
     prefix = opts.namespace_prefix
@@ -89,20 +90,33 @@ def serialize_mathml(root: TargetNode, opts: SerializeOptions | None = None) -> 
     xmlns = f' {xmlns_name}="{MATHML_NAMESPACE}"'
     parts: list[str] = []
     append = parts.append
+    special = _ATTR_SPECIAL.search
+    # Escape each text once; ids are unique, so a memo of them would not pay.
+    texts: dict[str, str] = {}
 
     def emit(node: TargetNode, indent: str, extra: str) -> None:
         name = name_prefix + node.element
         attrs = node.attrs
-        head = f"{indent}<{name}"
-        if "id" in attrs:
-            head += f' id="{escape_attr(attrs["id"], mode)}"'
-        if "xref" in attrs:
-            head += f' xref="{escape_attr(attrs["xref"], mode)}"'
-        # Most nodes carry only id and xref; they skip the sort.
-        if len(attrs) > ("id" in attrs) + ("xref" in attrs):
+        node_id, xref = attrs.get("id"), attrs.get("xref")
+        if node_id and (special(node_id) or numeric and not node_id.isascii()):
+            node_id = escape_attr(node_id, mode)
+        if xref and (special(xref) or numeric and not xref.isascii()):
+            xref = escape_attr(xref, mode)
+        # Most nodes carry exactly id and xref: one head, no sort.
+        if xref is not None and node_id is not None and len(attrs) == 2:
+            head = f'{indent}<{name} id="{node_id}" xref="{xref}"'
+        else:
+            head = f"{indent}<{name}"
+            if node_id is not None:
+                head += f' id="{node_id}"'
+            if xref is not None:
+                head += f' xref="{xref}"'
             for key in sorted(attrs):
                 if key != "id" and key != "xref":
-                    head += f' {key}="{escape_attr(attrs[key], mode)}"'
+                    value = attrs[key]
+                    if special(value) or numeric and not value.isascii():
+                        value = escape_attr(value, mode)
+                    head += f' {key}="{value}"'
         if node.children:
             append(f"{head}{extra}>{newline}")
             inner = indent + step
@@ -110,7 +124,11 @@ def serialize_mathml(root: TargetNode, opts: SerializeOptions | None = None) -> 
                 emit(child, inner, "")
             append(f"{indent}</{name}>{newline}")
         elif node.text:
-            append(f"{head}{extra}>{escape_text(node.text, mode)}</{name}>{newline}")
+            text = node.text
+            escaped = texts.get(text)
+            if escaped is None:
+                escaped = texts[text] = escape_text(text, mode)
+            append(f"{head}{extra}>{escaped}</{name}>{newline}")
         else:
             append(f"{head}{extra}/>{newline}")
 

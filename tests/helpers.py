@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from xmathml import EntityMode, read_xml_tree, target_from_raw
+from xmathml.serializer import escape_attr, escape_text
 from xmathml.mml import TargetNode
 from xmathml.model import NodeKind, XMathDocument, XMathNode
 
@@ -85,6 +86,41 @@ def reference_escape_attr(value: str, mode: EntityMode = EntityMode.UTF8) -> str
 
 def parse_mathml(text: str) -> TargetNode:
     return target_from_raw(read_xml_tree(text))
+
+
+def bra_ket_chain(
+    tag: str, depth: int, texts: tuple[str, str, str] = ("Ψ", "H", "φ")
+) -> str:
+    """XMath for a <Psi|H|Phi> dual with letter-ending ids (p1 beside
+    p1psi), then a chain of ``depth`` compose duals, each using the one
+    before twice in both branches, so the bracket is copied 2^(depth+1) - 1
+    times per branch."""
+    bra, op, ket = texts
+    terms = [
+        f"<XMDual xml:id='m9.{tag}d0'><XMApp><XMTok meaning='quantum-operator-product'/>"
+        f"<XMRef idref='{tag}psi'/><XMRef idref='{tag}'/><XMRef idref='{tag}phi'/></XMApp>"
+        "<XMWrap><XMTok role='OPEN'>⟨</XMTok>"
+        f"<XMTok role='ID' xml:id='{tag}psi'>{bra}</XMTok>"
+        "<XMTok role='CLOSE' stretchy='true'>|</XMTok>"
+        f"<XMTok role='ID' font='caligraphic' xml:id='{tag}'>{op}</XMTok>"
+        "<XMTok role='OPEN' stretchy='true'>|</XMTok>"
+        f"<XMTok role='ID' xml:id='{tag}phi'>{ket}</XMTok>"
+        "<XMTok role='CLOSE'>⟩</XMTok></XMWrap></XMDual>"
+    ]
+    for level in range(1, depth + 1):
+        ref = f"<XMRef idref='m9.{tag}d{level - 1}'/>"
+        terms.append(
+            f"<XMDual xml:id='m9.{tag}d{level}'>"
+            f"<XMApp><XMTok meaning='compose'/>{ref}{ref}</XMApp>"
+            f"<XMApp><XMTok role='MULOP' meaning='compose'>∘</XMTok>{ref}{ref}</XMApp>"
+            "</XMDual>"
+        )
+    return "".join(terms)
+
+
+def sum_of(*terms: str) -> str:
+    """XMath for the sum of the given XMath terms."""
+    return "<XMApp><XMTok role='ADDOP' meaning='plus'>+</XMTok>" + "".join(terms) + "</XMApp>"
 
 
 def _rename(node: TargetNode, renames: dict[str, str]) -> None:
@@ -191,3 +227,67 @@ def oracle_agrees(doc: XMathDocument, vis) -> bool:
         if content != ("C" in reference) or presentation != ("P" in reference):
             return False
     return True
+
+
+def structurally_equal(a: XMathNode, b: XMathNode) -> bool:
+    """Compare two trees by shape, text and attributes (not identity)."""
+    if a.kind is not b.kind or a.text != b.text:
+        return False
+    if a.attrs != b.attrs:
+        return False
+    if len(a.children) != len(b.children):
+        return False
+    return all(structurally_equal(x, y) for x, y in zip(a.children, b.children))
+
+
+def _xmath_attr_map(node: XMathNode) -> dict[str, str]:
+    s = node.attrs
+    out: dict[str, str] = {}
+    for name, value in (
+        ("role", s.role),
+        ("meaning", s.meaning),
+        ("xml:id", s.xml_id),
+        ("idref", s.idref),
+        ("font", s.font),
+        ("mathstyle", s.mathstyle),
+        ("scriptpos", s.scriptpos),
+    ):
+        if value is not None:
+            out[name] = value
+    if s.stretchy is not None:
+        out["stretchy"] = "true" if s.stretchy else "false"
+    out.update(s.extra)
+    return dict(sorted(out.items()))
+
+
+def serialize_xmath(doc: XMathDocument, *, pretty: bool = True) -> str:
+    """Serialize a document back to XMath XML.
+
+    Attribute order is normalized alphabetically, so output is
+    deterministic and parse(serialize(d)) is structurally equal to d.
+    """
+    parts: list[str] = []
+    _emit(doc.root, 0, parts, pretty)
+    return "".join(parts) + "\n"
+
+
+def _emit(node: XMathNode, depth: int, parts: list[str], pretty: bool) -> None:
+    indent = "  " * depth if pretty else ""
+    newline = "\n" if pretty else ""
+    name = node.kind.value
+    attr_text = "".join(
+        f' {key}="{escape_attr(value)}"' for key, value in _xmath_attr_map(node).items()
+    )
+    if node.kind is NodeKind.TOK:
+        if node.text:
+            parts.append(f"{indent}<{name}{attr_text}>{escape_text(node.text)}</{name}>")
+        else:
+            parts.append(f"{indent}<{name}{attr_text}/>")
+        parts.append(newline)
+    elif not node.children:
+        parts.append(f"{indent}<{name}{attr_text}/>{newline}")
+    else:
+        parts.append(f"{indent}<{name}{attr_text}>{newline}")
+        for child in node.children:
+            _emit(child, depth + 1, parts, pretty)
+        parts.append(f"{indent}</{name}>{newline}")

@@ -22,14 +22,14 @@ from xmathml import (
     parse_xmath,
     same_shape,
     serialize_mathml,
-    serialize_xmath,
-    structurally_equal,
 )
 from helpers import (
     assert_isomorphic,
     nearest_dual_ancestor,
     oracle_agrees,
     parse_mathml,
+    serialize_xmath,
+    structurally_equal,
 )
 
 

@@ -11,6 +11,7 @@ from xmathml import (
     NodeKind,
     SerializeOptions,
     assemble_parallel,
+    assemble_single,
     assign_ids,
     build_parallel,
     build_presentation,
@@ -24,8 +25,8 @@ from xmathml import (
     serialize_mathml,
 )
 from xmathml.errors import IdCollisionError
-from xmathml.linker import _suffix_letters
-from helpers import parse_mathml
+from xmathml.linker import _SUFFIXES, _suffix_letters
+from helpers import bra_ket_chain, parse_mathml, sum_of
 from treegen import make_corpus
 
 
@@ -48,6 +49,10 @@ def test_suffix_letters():
     assert [_suffix_letters(i) for i in (0, 1, 2, 26, 27, 28)] == [
         "", "a", "b", "z", "aa", "ab",
     ]
+
+
+def test_suffix_table_follows_suffix_letters():
+    assert _SUFFIXES == tuple(_suffix_letters(i) for i in range(703))
 
 
 def test_scheme_inference(sum_function_doc, quantum_doc):
@@ -401,3 +406,105 @@ def test_check_reports_pinned(sum_function_xmath, quantum_xmath):
     details = "\n\n".join("\n".join(lines) for lines in reports)
     digest = hashlib.sha256(details.encode("utf-8")).hexdigest()
     assert digest == CHECK_REPORTS_DIGEST
+
+
+#: Hand-built id shapes the treegen corpus never produces: letter-ending
+#: input ids beside the letters a shared source's copies take, and input
+#: ids shaped like fresh or wrapper ids.
+_ID_SHAPES = (
+    # x shows up twice in presentation (x, xa) beside a token whose own
+    # xml:id is xa: a collision.
+    "<XMDual><XMApp><XMTok meaning='times'/><XMRef idref='x'/><XMRef idref='xa'/></XMApp>"
+    "<XMWrap><XMTok xml:id='x'>x</XMTok><XMRef idref='x'/><XMTok xml:id='xa'>y</XMTok>"
+    "</XMWrap></XMDual>",
+    # The same with the colliding token first in document order.
+    "<XMDual><XMApp><XMTok meaning='times'/><XMRef idref='xa'/><XMRef idref='x'/></XMApp>"
+    "<XMWrap><XMTok xml:id='xa'>y</XMTok><XMTok xml:id='x'>x</XMTok><XMRef idref='x'/>"
+    "</XMWrap></XMDual>",
+    # Two collisions in one input (xa and yb).
+    "<XMDual><XMApp><XMTok meaning='times'/><XMRef idref='x'/><XMRef idref='y'/>"
+    "<XMRef idref='xa'/><XMRef idref='yb'/></XMApp>"
+    "<XMWrap><XMTok xml:id='yb'>w</XMTok><XMTok xml:id='x'>x</XMTok><XMRef idref='x'/>"
+    "<XMTok xml:id='y'>y</XMTok><XMRef idref='y'/><XMRef idref='y'/>"
+    "<XMTok xml:id='xa'>v</XMTok></XMWrap></XMDual>",
+    # x used twice beside xb, which no copy takes: no collision.
+    "<XMDual><XMApp><XMTok meaning='times'/><XMRef idref='x'/><XMRef idref='xb'/></XMApp>"
+    "<XMWrap><XMTok xml:id='x'>x</XMTok><XMRef idref='x'/><XMTok xml:id='xb'>y</XMTok>"
+    "</XMWrap></XMDual>",
+    sum_of(bra_ket_chain("p1", 0)),
+    sum_of(bra_ket_chain("p1", 3)),
+    sum_of(bra_ket_chain("p1", 1), bra_ket_chain("p2", 2)),
+    # An input id shaped like a suffixed fresh id (m1.1a).
+    "<XMDual><XMApp><XMTok meaning='times'/><XMRef idref='m1.1a'/></XMApp>"
+    "<XMWrap><XMTok xml:id='m1.1a'>a</XMTok><XMTok role='MULOP'>*</XMTok>"
+    "<XMTok xml:id='m1.1a.b'>b</XMTok></XMWrap></XMDual>",
+    "<XMApp><XMTok meaning='plus' role='ADDOP'>+</XMTok><XMTok xml:id='m1.1a'>a</XMTok>"
+    "<XMTok>b</XMTok><XMTok>c</XMTok></XMApp>",
+    # Input ids shaped like the wrapper ids.
+    "<XMApp><XMTok xml:id='m1a'>f</XMTok><XMTok xml:id='m1.2'>x</XMTok></XMApp>",
+    "<XMApp><XMTok xml:id='m1.5'>f</XMTok><XMTok xml:id='m1'>x</XMTok></XMApp>",
+    "<XMApp><XMTok xml:id='q.1'>f</XMTok><XMTok>x</XMTok><XMTok xml:id='qc'>y</XMTok></XMApp>",
+)
+
+
+def _allocation_record(build) -> str:
+    """Registry groups with their ids and xrefs, the issued ids and the
+    wrapper ids of one conversion; or the type of the error it raised."""
+    try:
+        registry, scheme, math = build()
+    except IdCollisionError as err:
+        return type(err).__name__
+    groups = [
+        (source, int(branch), [(n.attrs["id"], n.attrs.get("xref")) for n in nodes])
+        for (source, branch), nodes in registry.targets.items()
+    ]
+    wrappers = [math.attrs["id"]] + [
+        node.attrs["id"] for node in math.iter() if node.source is None and node is not math
+    ]
+    return repr((groups, sorted(scheme.issued), wrappers))
+
+
+def _allocation_records(sum_function_xmath, quantum_xmath):
+    docs = [(parse_xmath(sum_function_xmath), "a+F(a,b)"), (parse_xmath(quantum_xmath), "...")]
+    docs += [(doc, "t") for doc in make_corpus(300, seed=20261020)]
+    docs += [(parse_xmath(text), None) for text in _ID_SHAPES]
+    records = []
+    for doc, tex in docs:
+        vis = mark_visibility(doc)
+
+        def parallel():
+            pres, cmml = gen_pmml(doc, vis), gen_cmml(doc, vis)
+            scheme = IdScheme.infer(doc)
+            registry = build_registry(pres, cmml)
+            assign_ids(registry, scheme)
+            link_xrefs(registry)
+            return registry, scheme, assemble_parallel(pres, cmml, tex, scheme=scheme)
+
+        def presentation():
+            pres = gen_pmml(doc, vis)
+            scheme = IdScheme.infer(doc)
+            registry = build_registry(pmml=pres)
+            assign_ids(registry, scheme)
+            return registry, scheme, assemble_single(pres, scheme=scheme)
+
+        records.append(_allocation_record(parallel))
+        records.append(_allocation_record(presentation))
+    return records
+
+
+#: SHA-256 over _allocation_records(), recorded at the commit before the
+#: registry kept flat per-branch node lists.
+ID_ALLOCATION_DIGEST = (
+    "3bd3d87c5c3776f91e7641a9f4e9d79bf80423e7b484af567f24c05be43c70e2"
+)
+
+
+def test_id_allocation_pinned(sum_function_xmath, quantum_xmath):
+    """Ids, xrefs, registry groups, issued ids, wrapper ids and which
+    inputs raise IdCollisionError are identical to the recorded ones."""
+    records = _allocation_records(sum_function_xmath, quantum_xmath)
+    collisions = [i for i, record in enumerate(records) if record == "IdCollisionError"]
+    assert len(collisions) >= 3
+    assert all(record.startswith("(") for i, record in enumerate(records) if i not in collisions)
+    digest = hashlib.sha256("\n".join(records).encode("utf-8")).hexdigest()
+    assert digest == ID_ALLOCATION_DIGEST

@@ -11,11 +11,10 @@ from xmathml import (
     ParseErrorKind,
     XMathDocument,
     parse_xmath,
-    serialize_xmath,
 )
 from xmathml.errors import DanglingRefError
 from xmathml.model import SemanticAttrs, XMathNode
-from helpers import nearest_dual_ancestor
+from helpers import nearest_dual_ancestor, serialize_xmath
 from treegen import random_document
 
 

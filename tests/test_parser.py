@@ -14,11 +14,9 @@ from xmathml import (
     ParseErrorKind,
     parse_xmath,
     read_xml_tree,
-    serialize_xmath,
-    structurally_equal,
 )
 from conftest import fixture_text
-from helpers import KNOWN_ROLES
+from helpers import KNOWN_ROLES, serialize_xmath, structurally_equal
 from xmathml.parser import MAX_NESTING_DEPTH
 from treegen import make_corpus, random_document
 
@@ -251,10 +249,10 @@ def test_nesting_depth_cap():
         ("", (1, 1, "no element found")),
         ("  \n", (2, 1, "no element found")),
         ("<math><mo>&Foo;</mo></math>", (1, 11, "undefined entity")),
-        # Columns after a substituted named entity count the substitute.
+        # Columns after a substituted named entity count the entity as written.
         (
             "<math><mo>&InvisibleTimes;</mo><mi>&Foo;</mi></math>",
-            (1, 21, "undefined entity"),
+            (1, 36, "undefined entity"),
         ),
         (
             "<math><mo>&InvisibleTimes;</mo>\n<mi>&Foo;</mi></math>",
@@ -279,6 +277,92 @@ def test_read_xml_tree_accepts_depth_cap_and_named_entities():
     root = read_xml_tree("<math>\n<mo>&InvisibleTimes;</mo></math>")
     mo = root.children[0]
     assert (mo.name, mo.text, mo.line, mo.col) == ("mo", "\u2062", 2, 1)
+
+
+def _position(text: str, marker: str, occurrence: int = 0) -> tuple[int, int]:
+    """1-based line and column of a marker in the text as written."""
+    at = -1
+    for _ in range(occurrence + 1):
+        at = text.index(marker, at + 1)
+    lines = re.split(r"\r\n?|\n", text[:at])
+    return len(lines), len(lines[-1]) + 1
+
+
+@pytest.mark.parametrize(
+    "text, marker, kind, detail",
+    [
+        (
+            "<XMApp><XMTok>&InvisibleTimes;</XMTok><Bogus/></XMApp>",
+            "<Bogus",
+            ParseErrorKind.UNKNOWN_ELEMENT,
+            "unknown element 'Bogus'",
+        ),
+        (
+            # Buffered text is reported where the next tag starts.
+            "<XMApp><XMTok>&alpha;&beta;</XMTok>junk</XMApp>",
+            "</XMApp>",
+            ParseErrorKind.MALFORMED_XML,
+            "text content not allowed inside XMApp",
+        ),
+        (
+            '<XMApp><XMTok xml:id="a">&sum;</XMTok><XMTok xml:id="a"/></XMApp>',
+            '<XMTok xml:id="a"/>',
+            ParseErrorKind.DUPLICATE_ID,
+            "duplicate xml:id 'a'",
+        ),
+        (
+            "<XMApp>\r\n<XMTok>&ii;</XMTok><XMTok>&it;</XMTok><XMFoo/></XMApp>",
+            "<XMFoo",
+            ParseErrorKind.UNKNOWN_ELEMENT,
+            "unknown element 'XMFoo'",
+        ),
+        (
+            "<XMApp><XMTok>&int;</XMTok><XMTok>&Foo;</XMTok></XMApp>",
+            "&Foo;",
+            ParseErrorKind.MALFORMED_XML,
+            "undefined entity",
+        ),
+        (
+            "<XMApp><XMTok>&langle;</XMTok><XMTok>x</XMWrap>",
+            "XMWrap>",
+            ParseErrorKind.MALFORMED_XML,
+            "mismatched tag",
+        ),
+        (
+            "<XMApp><XMTok>&psi;</XMTok><XMDual><XMTok/><XMTok/><XMTok/></XMDual></XMApp>",
+            "<XMDual",
+            ParseErrorKind.DUAL_ARITY,
+            "XMDual must have exactly 2 children, found 3",
+        ),
+    ],
+)
+def test_fault_positions_after_named_entities(text, marker, kind, detail):
+    """A fault after a substituted entity is located in the text as written."""
+    with pytest.raises(ParseError) as excinfo:
+        parse_xmath(text)
+    err = excinfo.value
+    assert (err.kind, err.line, err.col, err.detail) == (kind, *_position(text, marker), detail)
+
+
+def test_node_positions_after_named_entities():
+    text = (
+        "<XMApp><XMTok>&InvisibleTimes;</XMTok><XMTok>&alpha;&beta;</XMTok>\r\n"
+        "<XMTok>&ii;</XMTok><XMTok/><XMTok>&Foo0;</XMTok></XMApp>"
+    )
+    with pytest.raises(ParseError):
+        parse_xmath(text)  # &Foo0; is no entity the reader knows
+    doc = parse_xmath(text.replace("&Foo0;", "&amp;"))
+    expected = [_position(text, "<XMApp")]
+    expected += [_position(text, "<XMTok", k) for k in range(5)]
+    assert [(node.line, node.col) for node in doc.nodes] == expected
+    assert [node.text for node in doc.nodes[1:]] == ["\u2062", "αβ", "ⅈ", "", "&"]
+    text = "<math><mo>&InvisibleTimes;</mo>\n<mi>&alpha;</mi><mi>&it;x</mi></math>"
+    math = read_xml_tree(text)
+    assert [(mi.line, mi.col, mi.text) for mi in math.children] == [
+        (*_position(text, "<mo"), "\u2062"),
+        (*_position(text, "<mi"), "α"),
+        (*_position(text, "<mi", 1), "\u2062x"),
+    ]
 
 
 def test_fixture_roles_are_known(sum_function_xmath, quantum_xmath):

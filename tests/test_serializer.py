@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import xml.etree.ElementTree as ET
 
 from hypothesis import given, settings
@@ -11,11 +12,19 @@ from xmathml import (
     TargetNode,
     build_parallel,
     parse_xmath,
+    read_xml_tree,
     same_shape,
     serialize_mathml,
+    target_from_raw,
 )
 from xmathml.serializer import escape_attr, escape_text
-from helpers import parse_mathml, reference_escape_attr, reference_escape_text
+from helpers import (
+    bra_ket_chain,
+    parse_mathml,
+    reference_escape_attr,
+    reference_escape_text,
+    sum_of,
+)
 from treegen import random_document
 
 UTF8 = SerializeOptions()
@@ -137,3 +146,79 @@ def test_carriage_return_survives_reparse():
         text = serialize_mathml(math, opts)
         assert "\r" not in text
         assert same_shape(parse_mathml(text), math)
+
+
+#: XMath whose input ids (and so output ids and xrefs, suffixed or not)
+#: hold every character with an attribute escape, plus non-ASCII ones;
+#: the first dotted id makes the wrapper ids non-ASCII too.
+_ESCAPED_ID_FORMULA = (
+    "<XMDual xml:id='ψ.1'><XMApp><XMTok meaning='times'/>"
+    "<XMRef idref='a&amp;b'/><XMRef idref='c&lt;d&gt;'/><XMRef idref='q&quot;'/>"
+    "<XMRef idref='t&#9;n&#10;r&#13;'/><XMRef idref='&#x1D49C;ψ'/></XMApp>"
+    "<XMWrap><XMTok xml:id='a&amp;b'>a</XMTok><XMRef idref='a&amp;b'/>"
+    "<XMTok xml:id='c&lt;d&gt;' role='MULOP'>&lt;</XMTok><XMRef idref='c&lt;d&gt;'/>"
+    "<XMTok xml:id='q&quot;'>q</XMTok><XMTok xml:id='t&#9;n&#10;r&#13;'>&amp;&#13;</XMTok>"
+    "<XMRef idref='t&#9;n&#10;r&#13;'/><XMTok xml:id='&#x1D49C;ψ'>&#x1D49C;</XMTok>"
+    "<XMRef idref='&#x1D49C;ψ'/><XMRef idref='&#x1D49C;ψ'/></XMWrap></XMDual>"
+)
+
+#: Shared ref chains whose copies repeat the same non-ASCII and escaped texts.
+_SHARED_TEXT_FORMULAS = (
+    sum_of(bra_ket_chain("p1", 3), bra_ket_chain("p2", 2, ("χ", "V", "ξ"))),
+    sum_of(bra_ket_chain("p1", 2, ("&#x1D49C;", "L", "&lt;&amp;&#13;>"))),
+)
+
+
+def _hand_built_tree() -> TargetNode:
+    """Every id/xref combination beside other attributes, and repeated texts."""
+    return TargetNode("math", {"id": "w&1", "class": "ltx_Math"}, [
+        TargetNode("mi", {"id": 'a"b', "xref": "c<d"}, text="ψ"),
+        TargetNode("mo", {"id": "t\tn\nr\r", "xref": "ψ\U0001d49c", "stretchy": "t&ue"},
+                   text="&<>\r"),
+        TargetNode("mi", {"xref": "only>"}, text="ψ"),
+        TargetNode("mi", {}, text="&<>\r"),
+        TargetNode("mi", {"id": "plain", "xref": "plain.cmml"}, text="\U0001d49c"),
+        TargetNode("mrow", {"id": "ψ"}, [TargetNode("mn", {"xref": "e"}, text="42")]),
+        TargetNode("mtext", {"class": "c\n", "id": "x"}, text=""),
+        TargetNode("mi", {"mathvariant": "normal"}, text="ψ"),
+    ])
+
+
+#: Plain, pretty and prefixed output, each in both entity modes.
+_FAST_PATH_MODES = tuple(
+    SerializeOptions(entity_mode=mode, **layout)
+    for mode in EntityMode
+    for layout in ({}, {"pretty": True}, {"namespace_prefix": "m"})
+)
+
+
+def _id_pairs(root: TargetNode) -> list[tuple]:
+    return [(node.attrs.get("id"), node.attrs.get("xref")) for node in root.iter()]
+
+
+#: SHA-256 over the outputs of test_fast_paths_pinned, recorded at the
+#: commit before the serializer's per-attribute tests and text memo.
+FAST_PATHS_DIGEST = (
+    "1447476d1036e72e0af58e5e3d4455da33a84c5f349ff9c97eb953df616c0b68"
+)
+
+
+def test_fast_paths_pinned():
+    """Escaped ids and xrefs, id/xref-only heads and repeated texts are
+    written byte-identically to the recorded output in every mode, and the
+    ids come back intact on re-parse."""
+    trees = [_hand_built_tree()]
+    trees += [
+        build_parallel(parse_xmath(text), tex='t&<"\r')
+        for text in (_ESCAPED_ID_FORMULA, *_SHARED_TEXT_FORMULAS)
+    ]
+    assert any("\r" in node.attrs.get("xref", "") for node in trees[1].iter())
+    digest = hashlib.sha256()
+    for tree in trees:
+        for opts in _FAST_PATH_MODES:
+            text = serialize_mathml(tree, opts)
+            digest.update(text.encode("utf-8") + b"\0")
+            reparsed = target_from_raw(read_xml_tree(text))
+            assert _id_pairs(reparsed) == _id_pairs(tree)
+            assert same_shape(reparsed, tree)
+    assert digest.hexdigest() == FAST_PATHS_DIGEST
