@@ -59,8 +59,10 @@ class BranchWalk:
     Duals descend into the walk's own branch and become the container of
     their subtree. Refs are chased to their targets, with the ref's own
     container kept in force, and a ref met again on the current path
-    raises ReferenceCycleError. Subclasses set ``branch`` and supply
-    ``token`` (a token's unascribed element), ``wrap`` and ``apply``.
+    raises ReferenceCycleError. The subtree a ref leads to is generated
+    once per (target, container) pair and copied on later visits.
+    Subclasses set ``branch`` and supply ``token`` (a token's unascribed
+    element), ``wrap`` and ``apply``.
     """
 
     branch: Branch
@@ -69,9 +71,8 @@ class BranchWalk:
         self.doc = doc
         self.vis = vis
         self._active_refs: set[int] = set()
-        # Token index -> (element, attrs, text) for tokens met while chasing
-        # a ref: each is mapped once; every copy gets its own node and attrs.
-        self._tokens: dict[int, tuple] = {}
+        # (ref target index, container index or -1) -> first subtree made.
+        self._made: dict[tuple[int, int], TargetNode] = {}
 
     def target(
         self,
@@ -93,21 +94,33 @@ class BranchWalk:
         if kind is _REF:
             if node.index in self._active_refs:
                 raise ReferenceCycleError("reference cycle via idref", node)
+            target = self.doc.resolve_ref(node)
+            key = target.index, -1 if container is None else container.index
+            made = self._made.get(key)
+            if made is not None:
+                return _clone(made)
             self._active_refs.add(node.index)
             try:
-                return self.walk(self.doc.resolve_ref(node), container)
+                made = self._made[key] = self.walk(target, container)
             finally:
                 self._active_refs.discard(node.index)
+            return made
         if kind is _TOK:
-            if not self._active_refs:  # only a ref leads to a token twice
-                return self.target(self.token(node), node, container, False)
-            made = self._tokens.get(node.index)
-            if made is None:
-                built = self.token(node)
-                made = self._tokens[node.index] = built.element, built.attrs, built.text
-            name, attrs, text = made
-            source = ascribe(self.doc, self.vis, node, container, False)
-            return TargetNode(name, attrs.copy(), [], text, source, self.branch, node)
+            return self.target(self.token(node), node, container, False)
         if kind is _WRAP:
             return self.wrap(node, container)
         return self.apply(node, container)
+
+
+def _clone(node: TargetNode) -> TargetNode:
+    """Deep copy of a generated subtree that shares no attrs or children."""
+    children = node.children
+    return TargetNode(
+        node.element,
+        node.attrs.copy(),
+        [_clone(child) for child in children] if children else [],
+        node.text,
+        node.source,
+        node.branch,
+        node.origin,
+    )
