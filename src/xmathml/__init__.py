@@ -23,7 +23,6 @@ from .errors import (
     ArityMismatchError,
     ContentWrapError,
     ConversionError,
-    DanglingRefError,
     IdCollisionError,
     MalformedApplyError,
     ParseError,
@@ -42,7 +41,7 @@ from .linker import (
     check_links,
     link_xrefs,
 )
-from .mml import TargetNode, same_shape, target_from_raw
+from .mml import TargetNode, target_from_raw
 from .model import (
     Branch,
     NodeKind,
@@ -63,7 +62,6 @@ __all__ = [
     "Branch",
     "ContentWrapError",
     "ConversionError",
-    "DanglingRefError",
     "EntityMode",
     "ExpansionRule",
     "IdCollisionError",
@@ -99,7 +97,6 @@ __all__ = [
     "mark_visibility",
     "parse_xmath",
     "read_xml_tree",
-    "same_shape",
     "serialize_mathml",
     "target_from_raw",
     "token_to_cmml",

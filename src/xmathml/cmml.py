@@ -20,6 +20,7 @@ from .errors import ArityMismatchError, ContentWrapError, MalformedApplyError
 from .glyphs import is_greek_capital, script_form
 from .mml import TargetNode
 from .model import Branch, NodeKind, XMathDocument, XMathNode
+from .parser import MAX_NESTING_DEPTH
 from .visibility import VisibilityMap
 
 _TOK = NodeKind.TOK  # bound once: an enum member lookup is slow per node
@@ -77,10 +78,18 @@ def _collect_slots(term: Term) -> list[int]:
 
 _TEMPLATE_TOKEN = re.compile(r"\(|\)|[^\s()]+")
 _SLOT = re.compile(r"slot(\d+)$")
+_ELEMENT_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9._-]*")
 
 
 def _parse_template(text: str, context: str) -> Term:
     tokens = _TEMPLATE_TOKEN.findall(text)
+    depth = 0
+    for token in tokens:  # parse() below recurses once per nesting level
+        depth += (token == "(") - (token == ")")
+        if depth > MAX_NESTING_DEPTH:
+            raise ValueError(f"{context}: nesting deeper than {MAX_NESTING_DEPTH}")
+        if token not in ("(", ")") and not _ELEMENT_NAME.fullmatch(token):
+            raise ValueError(f"{context}: {token!r} is not an element name")
     pos = 0
 
     def parse() -> Term:
@@ -232,22 +241,12 @@ class _Walk(BranchWalk):
     def apply(self, app: XMathNode, container: XMathNode | None) -> TargetNode:
         if not app.children:
             raise MalformedApplyError("XMApp without an operator", app)
-        op_node = app.children[0]
-        op = self.doc.deref(op_node)
-        if op.kind is _TOK and op.attrs.meaning in self.table.expansions:
-            rule = self.table.expansions[op.attrs.meaning]
-            return self.expand_pragmatic(rule, app, op, app.children[1:], container)
-        children = [self.walk(child, container) for child in app.children]
-        return self.target(TargetNode("apply", {}, children), app, container, True)
-
-    def expand_pragmatic(
-        self,
-        rule: ExpansionRule,
-        app: XMathNode,
-        op: XMathNode,
-        args: list[XMathNode],
-        container: XMathNode | None,
-    ) -> TargetNode:
+        op = self.doc.deref(app.children[0])
+        rule = self.table.expansions.get(op.attrs.meaning) if op.kind is _TOK else None
+        if rule is None:
+            children = [self.walk(child, container) for child in app.children]
+            return self.target(TargetNode("apply", {}, children), app, container, True)
+        args = app.children[1:]
         if len(args) != rule.arity:
             raise ArityMismatchError(
                 f"{rule.meaning} expects {rule.arity} arguments, found {len(args)}",

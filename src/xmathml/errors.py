@@ -65,10 +65,3 @@ class ReferenceCycleError(ConversionError):
 class IdCollisionError(ConversionError):
     """An allocated output id clashes with an existing one."""
 
-
-class DanglingRefError(LookupError):
-    """Defensive error: an idref with no matching node reached the model layer.
-
-    XMathDocument rejects such documents on construction, so hitting this
-    indicates a document whose idrefs were changed afterwards.
-    """

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .model import Branch, XMathNode
 
@@ -39,34 +39,6 @@ class TargetNode:
         if self.text:
             bits.append(repr(self.text))
         return "<{}>".format(" ".join(bits))
-
-
-def same_shape(
-    a: TargetNode,
-    b: TargetNode,
-    *,
-    ignore_attrs: Iterable[str] = (),
-) -> bool:
-    """Structural equality: element, text, attributes and children.
-
-    ``None`` and empty text compare equal, and attribute order is
-    irrelevant. ``ignore_attrs`` is typically ("id", "xref").
-    """
-    ignored = set(ignore_attrs)
-    if a.element != b.element:
-        return False
-    if (a.text or "") != (b.text or ""):
-        return False
-    attrs_a = {k: v for k, v in a.attrs.items() if k not in ignored}
-    attrs_b = {k: v for k, v in b.attrs.items() if k not in ignored}
-    if attrs_a != attrs_b:
-        return False
-    if len(a.children) != len(b.children):
-        return False
-    return all(
-        same_shape(x, y, ignore_attrs=ignored)
-        for x, y in zip(a.children, b.children)
-    )
 
 
 def target_from_raw(raw) -> TargetNode:

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 
-from .errors import DanglingRefError, ParseError, ParseErrorKind, ReferenceCycleError
+from .errors import ParseError, ParseErrorKind, ReferenceCycleError
 
 
 class NodeKind(Enum):
@@ -141,10 +141,7 @@ class XMathDocument:
         """Resolve an XMRef one step, to the node carrying its idref as xml:id."""
         if ref_node.kind is not _REF:
             raise ValueError("resolve_ref expects an XMRef node")
-        try:
-            return self.id_index[ref_node.attrs.idref]
-        except KeyError:
-            raise DanglingRefError(ref_node.attrs.idref) from None
+        return self.id_index[ref_node.attrs.idref]
 
     def deref(self, node: XMathNode) -> XMathNode:
         """Follow XMRef chains to a non-ref node, guarding against cycles."""

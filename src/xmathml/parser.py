@@ -12,6 +12,7 @@ import re
 import xml.parsers.expat
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from html.entities import html5
 
 from .errors import ParseError, ParseErrorKind
 from .model import ELEMENT_KINDS, NodeKind, SemanticAttrs, XMathDocument, XMathNode
@@ -19,56 +20,13 @@ from .model import ELEMENT_KINDS, NodeKind, SemanticAttrs, XMathDocument, XMathN
 #: Wrapper elements tolerated around the actual XMath root.
 WRAPPER_ELEMENTS = frozenset({"Math", "XMath"})
 
-
-def _greek(name_points: list[tuple[str, int]]) -> dict[str, str]:
-    return {name: chr(cp) for name, cp in name_points}
-
-
-#: Named character entities resolved by the reader. XML predefines only
-#: amp/lt/gt/quot/apos; MathML sources routinely use these as well.
+#: The HTML5/MathML named characters, less those unsafe to substitute before
+#: expat reads the text: markup, tab, newline and two-character values.
 NAMED_ENTITIES: dict[str, str] = {
-    "ApplyFunction": "⁡",
-    "af": "⁡",
-    "InvisibleTimes": "⁢",
-    "it": "⁢",
-    "InvisibleComma": "⁣",
-    "ic": "⁣",
-    "int": "∫",
-    "sum": "∑",
-    "prod": "∏",
-    "times": "×",
-    "minus": "−",
-    "plusmn": "±",
-    "dd": "ⅆ",
-    "ee": "ⅇ",
-    "ii": "ⅈ",
-    "HilbertSpace": "ℋ",
-    "LeftAngleBracket": "⟨",
-    "RightAngleBracket": "⟩",
-    "langle": "⟨",
-    "rangle": "⟩",
-    "VerticalBar": "∣",
-    "nbsp": " ",
+    name[:-1]: value
+    for name, value in html5.items()
+    if name[-1] == ";" and len(value) == 1 and value not in "<>&\"'\t\n"
 }
-NAMED_ENTITIES.update(
-    _greek(
-        [
-            ("Alpha", 0x391), ("Beta", 0x392), ("Gamma", 0x393), ("Delta", 0x394),
-            ("Epsilon", 0x395), ("Zeta", 0x396), ("Eta", 0x397), ("Theta", 0x398),
-            ("Iota", 0x399), ("Kappa", 0x39A), ("Lambda", 0x39B), ("Mu", 0x39C),
-            ("Nu", 0x39D), ("Xi", 0x39E), ("Omicron", 0x39F), ("Pi", 0x3A0),
-            ("Rho", 0x3A1), ("Sigma", 0x3A3), ("Tau", 0x3A4), ("Upsilon", 0x3A5),
-            ("Phi", 0x3A6), ("Chi", 0x3A7), ("Psi", 0x3A8), ("Omega", 0x3A9),
-            ("alpha", 0x3B1), ("beta", 0x3B2), ("gamma", 0x3B3), ("delta", 0x3B4),
-            ("epsilon", 0x3B5), ("zeta", 0x3B6), ("eta", 0x3B7), ("theta", 0x3B8),
-            ("iota", 0x3B9), ("kappa", 0x3BA), ("lambda", 0x3BB), ("mu", 0x3BC),
-            ("nu", 0x3BD), ("xi", 0x3BE), ("omicron", 0x3BF), ("pi", 0x3C0),
-            ("rho", 0x3C1), ("sigmaf", 0x3C2), ("sigma", 0x3C3), ("tau", 0x3C4),
-            ("upsilon", 0x3C5), ("phi", 0x3C6), ("chi", 0x3C7), ("psi", 0x3C8),
-            ("omega", 0x3C9),
-        ]
-    )
-)
 
 _ENTITY_RE = re.compile(r"&([A-Za-z][A-Za-z0-9]*);")
 _LINE_BREAK = re.compile(r"\r\n?|\n")  # what expat counts as a new line
@@ -76,7 +34,8 @@ _LINE_BREAK = re.compile(r"\r\n?|\n")  # what expat counts as a new line
 #: Formulas are desk-scale; deeper nesting is rejected rather than risking
 #: recursion failures in the tree passes.
 MAX_NESTING_DEPTH = 200
-_TOO_DEEP = f"element nesting deeper than {MAX_NESTING_DEPTH}"
+MATHML_NESTING_DEPTH = MAX_NESTING_DEPTH + 3  # math, semantics, annotation-xml
+_TOO_DEEP = "element nesting deeper than {}"
 
 
 @dataclass(eq=False, slots=True)
@@ -131,7 +90,7 @@ def _read(parser, text: str, start, end, chars, roots: list) -> dict:
 
     The handlers are installed directly, one Python frame per event; each
     reads the parser's position only when it needs one, and ``start``
-    raises ``_located(parser, _TOO_DEEP)`` beyond MAX_NESTING_DEPTH. Text
+    refuses nesting beyond the reader's depth limit (``_TOO_DEEP``). Text
     arrives buffered, known named character entities are substituted up
     front (expat knows only the five XML built-ins), and document type
     declarations are refused. Every refusal is a located MALFORMED_XML.
@@ -184,8 +143,8 @@ def read_xml_tree(text: str) -> RawElement:
     stack = [document]
 
     def start(name: str, attrs: dict[str, str]) -> None:
-        if len(stack) > MAX_NESTING_DEPTH:
-            raise _located(parser, _TOO_DEEP)
+        if len(stack) > MATHML_NESTING_DEPTH:
+            raise _located(parser, _TOO_DEEP.format(MATHML_NESTING_DEPTH))
         line, col = parser.CurrentLineNumber, parser.CurrentColumnNumber + 1
         elem = RawElement(name, attrs, [], "", line, col)
         stack[-1].children.append(elem)
@@ -241,7 +200,7 @@ def parse_xmath(text: str) -> XMathDocument:
     def start(name: str, attrs: dict[str, str]) -> None:
         depth = len(stack)
         if depth >= MAX_NESTING_DEPTH:
-            raise _located(parser, _TOO_DEEP)
+            raise _located(parser, _TOO_DEEP.format(MAX_NESTING_DEPTH))
         line, col = parser.CurrentLineNumber, parser.CurrentColumnNumber + 1
         kind = ELEMENT_KINDS.get(name) or ELEMENT_KINDS.get(name.rpartition(":")[2])
         if kind is not None:

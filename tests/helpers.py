@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from typing import Iterable
+
 from xmathml import EntityMode, read_xml_tree, target_from_raw
 from xmathml.serializer import escape_attr, escape_text
 from xmathml.mml import TargetNode
@@ -30,6 +32,34 @@ KNOWN_ROLES = frozenset(
 PRESENTATION_ELEMENTS = frozenset(
     {"math", "mrow", "mi", "mo", "mn", "msub", "msup", "msubsup"}
 )
+
+
+def same_shape(
+    a: TargetNode,
+    b: TargetNode,
+    *,
+    ignore_attrs: Iterable[str] = (),
+) -> bool:
+    """Structural equality: element, text, attributes and children.
+
+    ``None`` and empty text compare equal, and attribute order is
+    irrelevant. ``ignore_attrs`` is typically ("id", "xref").
+    """
+    ignored = set(ignore_attrs)
+    if a.element != b.element:
+        return False
+    if (a.text or "") != (b.text or ""):
+        return False
+    attrs_a = {k: v for k, v in a.attrs.items() if k not in ignored}
+    attrs_b = {k: v for k, v in b.attrs.items() if k not in ignored}
+    if attrs_a != attrs_b:
+        return False
+    if len(a.children) != len(b.children):
+        return False
+    return all(
+        same_shape(x, y, ignore_attrs=ignored)
+        for x, y in zip(a.children, b.children)
+    )
 
 
 def find(root: TargetNode, element: str, text: str | None = None) -> TargetNode | None:

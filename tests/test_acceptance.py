@@ -20,7 +20,6 @@ from xmathml import (
     gen_pmml,
     mark_visibility,
     parse_xmath,
-    same_shape,
     serialize_mathml,
 )
 from helpers import (
@@ -28,6 +27,7 @@ from helpers import (
     nearest_dual_ancestor,
     oracle_agrees,
     parse_mathml,
+    same_shape,
     serialize_xmath,
     structurally_equal,
 )

@@ -190,6 +190,42 @@ def test_expansions_read_in_every_mode(tmp_path, capsys, request, mode, fixture)
     assert "input.xml" not in err
 
 
+@pytest.mark.parametrize(
+    "rule, detail",
+    [
+        ("deep 1 " + "(a " * 2000 + "slot1" + ")" * 2000, "nesting deeper than 200"),
+        # Once written out unchecked: <a<b id="m1.1.cmml" ...>, ill-formed.
+        ("foo 1 (a<b slot1)", "'a<b' is not an element name"),
+    ],
+    ids=["too-deep", "bad-name"],
+)
+def test_expansions_refused_templates(tmp_path, capsys, rule, detail):
+    table = _write(tmp_path, "rules.txt", rule + "\n")
+    source = _write(
+        tmp_path,
+        "input.xml",
+        '<XMApp><XMTok meaning="foo"/><XMTok>x</XMTok></XMApp>',
+    )
+    code, out, err = _run(capsys, source, "--expansions", table)
+    assert (code, out) == (2, "")
+    assert err == f"{table}: error: line 1: {detail}\n"
+
+
+def test_deepest_input_output_passes_check(tmp_path, capsys):
+    """199 nested applications plus a token are the deepest XMath accepted;
+    the output adds math, semantics and annotation-xml, and check reads it."""
+    depth = 199
+    xmath = "<XMApp><XMTok>f</XMTok>" * depth + "<XMTok>x</XMTok>" + "</XMApp>" * depth
+    source = _write(tmp_path, "input.xml", xmath)
+    converted = str(tmp_path / "output.xml")
+    assert _run(capsys, source, "--out", converted) == (0, "", "")
+    assert _run(capsys, converted, "--to", "check") == (0, "", "")
+    too_deep = _write(tmp_path, "deeper.xml", "<XMApp>" + xmath + "</XMApp>")
+    code, _, err = _run(capsys, too_deep)
+    assert code == 2
+    assert "element nesting deeper than 200" in err
+
+
 def test_output_file(tmp_path, capsys, sum_function_xmath):
     source = _write(tmp_path, "input.xml", sum_function_xmath)
     out_path = tmp_path / "result.xml"

@@ -11,7 +11,6 @@ from xmathml import (
     load_expansion_table,
     mark_visibility,
     parse_xmath,
-    same_shape,
     token_to_cmml,
 )
 from xmathml.cmml import KNOWN_CONTENT_ELEMENTS
@@ -21,7 +20,8 @@ from xmathml.errors import (
     MalformedApplyError,
 )
 from xmathml.model import SemanticAttrs, XMathNode
-from helpers import parse_mathml
+from xmathml.parser import MAX_NESTING_DEPTH
+from helpers import parse_mathml, same_shape
 from treegen import random_document
 
 
@@ -227,6 +227,36 @@ def test_table_loader_errors():
         load_expansion_table("foo 1 (apply head slot1) junk")
     with pytest.raises(ValueError):
         load_expansion_table("foo 1 (apply head slot1")  # unbalanced
+
+
+def test_table_loader_caps_template_nesting():
+    """Templates nest as deep as XMath input may, and no deeper."""
+    at_cap = "(apply " * MAX_NESTING_DEPTH + "slot1" + ")" * MAX_NESTING_DEPTH
+    assert load_expansion_table(f"deep 1 {at_cap}")["deep"].arity == 1
+    for depth in (MAX_NESTING_DEPTH + 1, 2000):
+        template = "(apply " * depth + "slot1" + ")" * depth
+        with pytest.raises(ValueError) as excinfo:
+            load_expansion_table(f"# comment\ndeep 1 {template}")
+        assert str(excinfo.value) == f"line 2: nesting deeper than {MAX_NESTING_DEPTH}"
+
+
+@pytest.mark.parametrize(
+    "template, name",
+    [("(a<b slot1)", "a<b"), ("(apply 1x slot1)", "1x"), ("(a&b slot1)", "a&b")],
+)
+def test_table_loader_refuses_bad_element_names(template, name):
+    with pytest.raises(ValueError) as excinfo:
+        load_expansion_table(f"foo 1 {template}")
+    assert str(excinfo.value) == f"line 1: {name!r} is not an element name"
+
+
+def test_table_loader_accepts_element_name_characters():
+    rules = load_expansion_table("foo 1 (m.a-b_1 (_c slot1) x.y)")
+    assert rules["foo"].template == (
+        "elem",
+        "m.a-b_1",
+        (("elem", "_c", (("slot", 1),)), ("elem", "x.y", ())),
+    )
 
 
 def test_default_table_is_shared_and_read_only():

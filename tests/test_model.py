@@ -12,7 +12,6 @@ from xmathml import (
     XMathDocument,
     parse_xmath,
 )
-from xmathml.errors import DanglingRefError
 from xmathml.model import SemanticAttrs, XMathNode
 from helpers import nearest_dual_ancestor, serialize_xmath
 from treegen import random_document
@@ -58,14 +57,6 @@ def test_resolve_ref_is_single_step():
     middle = doc.resolve_ref(outer)
     assert middle.kind is NodeKind.REF
     assert doc.deref(outer).text == "a"
-
-
-def test_dangling_ref_is_defensive():
-    doc = parse_xmath('<XMApp><XMTok xml:id="t">a</XMTok><XMRef idref="t"/></XMApp>')
-    ref = doc.root.children[1]
-    ref.attrs.idref = "nope"  # violate the invariant by hand
-    with pytest.raises(DanglingRefError):
-        doc.resolve_ref(ref)
 
 
 def _tok(text, line, col, **attrs):

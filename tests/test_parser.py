@@ -17,7 +17,7 @@ from xmathml import (
 )
 from conftest import fixture_text
 from helpers import KNOWN_ROLES, serialize_xmath, structurally_equal
-from xmathml.parser import MAX_NESTING_DEPTH
+from xmathml.parser import MATHML_NESTING_DEPTH, MAX_NESTING_DEPTH
 from treegen import make_corpus, random_document
 
 
@@ -237,12 +237,13 @@ def test_nesting_depth_cap():
             (1, 16, "document type declarations are not supported"),
         ),
         (
-            "<mrow>" * (MAX_NESTING_DEPTH + 1) + "</mrow>" * (MAX_NESTING_DEPTH + 1),
-            (1, 1201, f"element nesting deeper than {MAX_NESTING_DEPTH}"),
+            "<mrow>" * (MATHML_NESTING_DEPTH + 1)
+            + "</mrow>" * (MATHML_NESTING_DEPTH + 1),
+            (1, 1219, f"element nesting deeper than {MATHML_NESTING_DEPTH}"),
         ),
         (
-            "<math>\n" + "<mrow>" * 250,
-            (2, 1195, f"element nesting deeper than {MAX_NESTING_DEPTH}"),
+            "<math>\n" + "<mrow>" * MATHML_NESTING_DEPTH,
+            (2, 1213, f"element nesting deeper than {MATHML_NESTING_DEPTH}"),
         ),
         ('<math id="m1"><semantics><mi>a</mi>', (1, 36, "no element found")),
         ("<math><mi>a</mo></math>", (1, 14, "mismatched tag")),
@@ -277,6 +278,79 @@ def test_read_xml_tree_accepts_depth_cap_and_named_entities():
     root = read_xml_tree("<math>\n<mo>&InvisibleTimes;</mo></math>")
     mo = root.children[0]
     assert (mo.name, mo.text, mo.line, mo.col) == ("mo", "\u2062", 2, 1)
+
+
+#: The named entities the reader resolved before it took the HTML5 table,
+#: each with its character.
+EARLIER_ENTITIES = {
+    "ApplyFunction": "\u2061", "af": "\u2061", "InvisibleTimes": "\u2062",
+    "it": "\u2062", "InvisibleComma": "\u2063", "ic": "\u2063", "int": "\u222b",
+    "sum": "\u2211", "prod": "\u220f", "times": "\u00d7", "minus": "\u2212",
+    "plusmn": "\u00b1", "dd": "\u2146", "ee": "\u2147", "ii": "\u2148",
+    "HilbertSpace": "\u210b", "LeftAngleBracket": "\u27e8",
+    "RightAngleBracket": "\u27e9", "langle": "\u27e8", "rangle": "\u27e9",
+    "VerticalBar": "\u2223", "nbsp": "\u00a0", "Alpha": "\u0391", "Beta": "\u0392",
+    "Gamma": "\u0393", "Delta": "\u0394", "Epsilon": "\u0395", "Zeta": "\u0396",
+    "Eta": "\u0397", "Theta": "\u0398", "Iota": "\u0399", "Kappa": "\u039a",
+    "Lambda": "\u039b", "Mu": "\u039c", "Nu": "\u039d", "Xi": "\u039e",
+    "Omicron": "\u039f", "Pi": "\u03a0", "Rho": "\u03a1", "Sigma": "\u03a3",
+    "Tau": "\u03a4", "Upsilon": "\u03a5", "Phi": "\u03a6", "Chi": "\u03a7",
+    "Psi": "\u03a8", "Omega": "\u03a9", "alpha": "\u03b1", "beta": "\u03b2",
+    "gamma": "\u03b3", "delta": "\u03b4", "epsilon": "\u03b5", "zeta": "\u03b6",
+    "eta": "\u03b7", "theta": "\u03b8", "iota": "\u03b9", "kappa": "\u03ba",
+    "lambda": "\u03bb", "mu": "\u03bc", "nu": "\u03bd", "xi": "\u03be",
+    "omicron": "\u03bf", "pi": "\u03c0", "rho": "\u03c1", "sigmaf": "\u03c2",
+    "sigma": "\u03c3", "tau": "\u03c4", "upsilon": "\u03c5", "phi": "\u03c6",
+    "chi": "\u03c7", "psi": "\u03c8", "omega": "\u03c9",
+}  # fmt: skip
+
+
+def test_earlier_entities_read_the_same():
+    assert len(EARLIER_ENTITIES) == 71
+    for name, char in EARLIER_ENTITIES.items():
+        mi = read_xml_tree(f'<mi a="&{name};">&{name};</mi>')
+        assert (mi.text, mi.attrs["a"]) == (char, char), name
+        tok = parse_xmath(f'<XMTok a="&{name};">&{name};</XMTok>').root
+        assert (tok.text, tok.attrs.extra["a"]) == (char, char), name
+
+
+def test_standard_entities_are_resolved():
+    root = read_xml_tree('<math><mo>&rarr;</mo><mi a="&PlusMinus;">x</mi></math>')
+    mo, mi = root.children
+    assert (mo.text, mi.attrs["a"], mi.col) == ("\u2192", "\u00b1", 22)
+    assert read_xml_tree("<mo>]]&gt;</mo>").text == "]]>"
+    # Columns after a substituted entity count the entity as written.
+    text = '<math><mo>&rarr;</mo><mi a="&PlusMinus;">&Foo;</mi></math>'
+    with pytest.raises(ParseError) as excinfo:
+        read_xml_tree(text)
+    err = excinfo.value
+    assert (err.line, err.col, err.detail) == (1, 42, "undefined entity")
+    assert (err.line, err.col) == _position(text, "&Foo;")
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        (f"<math><mi>&alpha;</mi><mo>&{name};</mo></math>", (1, 27))
+        for name in ("LT", "nvlt", "Tab", "NewLine", "NotEqualTilde")
+    ]
+    + [
+        ('<math><mi>&alpha;</mi><mo a="&QUOT;">x</mo></math>', (1, 23)),
+        ('<math>\n<mi a="&alpha;">&alpha;</mi><mo c="&QUOT;">x</mo></math>', (2, 29)),
+    ],
+)
+@pytest.mark.parametrize("read", [read_xml_tree, parse_xmath])
+def test_unsafe_entities_stay_undefined(read, text, expected):
+    """Values that are markup, a tab, a newline or two characters are not
+    substituted; each name is refused where it was before the HTML5 table."""
+    with pytest.raises(ParseError) as excinfo:
+        read(text)
+    err = excinfo.value
+    assert (err.kind, err.line, err.col, err.detail) == (
+        ParseErrorKind.MALFORMED_XML,
+        *expected,
+        "undefined entity",
+    )
 
 
 def _position(text: str, marker: str, occurrence: int = 0) -> tuple[int, int]:

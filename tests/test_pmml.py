@@ -12,12 +12,11 @@ from xmathml import (
     gen_pmml,
     mark_visibility,
     parse_xmath,
-    same_shape,
     token_to_pmml,
 )
 from xmathml.errors import MalformedApplyError
 from xmathml.model import SemanticAttrs, XMathNode
-from helpers import PRESENTATION_ELEMENTS, find, parse_mathml
+from helpers import PRESENTATION_ELEMENTS, find, parse_mathml, same_shape
 from treegen import random_document
 
 

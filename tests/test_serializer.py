@@ -13,7 +13,6 @@ from xmathml import (
     build_parallel,
     parse_xmath,
     read_xml_tree,
-    same_shape,
     serialize_mathml,
     target_from_raw,
 )
@@ -23,6 +22,7 @@ from helpers import (
     parse_mathml,
     reference_escape_attr,
     reference_escape_text,
+    same_shape,
     sum_of,
 )
 from treegen import random_document
