@@ -199,8 +199,8 @@ def token_to_cmml(tok: XMathNode, table: MeaningTable | None = None) -> TargetNo
         element = table.elements.get(meaning)
         if element is not None:
             return TargetNode(element)
-        return TargetNode("csymbol", {"cd": "latexml"}, text=meaning)
-    return TargetNode("ci", text=_identifier_text(tok))
+        return TargetNode("csymbol", {"cd": "latexml"}, [], meaning)
+    return TargetNode("ci", {}, [], _identifier_text(tok))
 
 
 def _identifier_text(tok: XMathNode) -> str:

@@ -132,13 +132,17 @@ def assign_ids(registry: AscriptionRegistry, scheme: IdScheme) -> None:
 
     A source's base id is its xml:id, else the next fresh ``prefix.k``;
     fresh ids are handed out by each source's first appearance,
-    presentation before content. The ids it sets are recorded as
-    ``scheme.issued``.
+    presentation before content. Each source's first node in a branch
+    takes the base id; its later nodes take letter suffixes, skipping
+    any id issued to another node, so they never take another source's
+    id. The ids it sets are recorded as ``scheme.issued``.
     """
     bases: dict[int, str] = {}
     counter = scheme.next_counter
-    issued: list[str] = []
-    append = issued.append
+    issued: set[str] = set()
+    add = issued.add
+    shared: list[tuple[list[TargetNode], str, str]] = []
+    # First ids first, so that no suffixed id can take one.
     for branch in _BRANCH_ORDER:
         suffix = CONTENT_ID_SUFFIX if branch is _CONTENT else ""
         for index, nodes in registry.groups[branch].items():
@@ -149,18 +153,24 @@ def assign_ids(registry: AscriptionRegistry, scheme: IdScheme) -> None:
                     base = f"{scheme.prefix}.{counter}"
                     counter += 1
                 bases[index] = base
-            for k, node in enumerate(nodes):
-                letters = _SUFFIXES[k] if k < 703 else _suffix_letters(k)
-                node.attrs["id"] = node_id = base + letters + suffix
-                append(node_id)
-    seen = set(issued)
-    if len(seen) != len(issued):
-        seen.clear()
-        for node_id in issued:
-            if node_id in seen:
+            node_id = base + suffix
+            if node_id in issued:
                 raise IdCollisionError(f"output id {node_id!r} allocated twice")
-            seen.add(node_id)
-    scheme.issued = seen
+            nodes[0].attrs["id"] = node_id
+            add(node_id)
+            if len(nodes) > 1:
+                shared.append((nodes, base, suffix))
+    for nodes, base, suffix in shared:
+        k = 0
+        node_id = base + suffix  # issued: the loop below moves past it
+        for node in nodes[1:]:
+            while node_id in issued:
+                k += 1
+                letters = _SUFFIXES[k] if k < 703 else _suffix_letters(k)
+                node_id = base + letters + suffix
+            node.attrs["id"] = node_id
+            add(node_id)
+    scheme.issued = issued
 
 
 def link_xrefs(registry: AscriptionRegistry) -> None:

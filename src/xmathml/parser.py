@@ -28,7 +28,11 @@ NAMED_ENTITIES: dict[str, str] = {
     if name[-1] == ";" and len(value) == 1 and value not in "<>&\"'\t\n"
 }
 
-_ENTITY_RE = re.compile(r"&([A-Za-z][A-Za-z0-9]*);")
+# A CDATA section, or a comment (which may hold "<![CDATA["), matches as a
+# whole with no name, so the entities inside stay as written.
+_ENTITY_RE = re.compile(
+    r"<!--.*?-->|<!\[CDATA\[.*?]]>|&([A-Za-z][A-Za-z0-9]*);", re.S
+)
 _LINE_BREAK = re.compile(r"\r\n?|\n")  # what expat counts as a new line
 
 #: Formulas are desk-scale; deeper nesting is rejected rather than risking
@@ -57,9 +61,10 @@ def _located(parser, detail: str) -> ParseError:
 
 
 def _substitute(text: str) -> tuple[str, dict]:
-    """Replace the known named entities. Per line with a replacement, also
-    give the 1-based columns of the replacements in the new text and the
-    columns removed up to and including each."""
+    """Replace the known named entities outside CDATA sections and
+    comments. Per line with a replacement, also give the 1-based columns
+    of the replacements in the new text and the columns removed up to and
+    including each."""
     pieces, shifts = [], {}
     line, line_start, last, removed = 1, 0, 0, 0
     for match in _ENTITY_RE.finditer(text):
@@ -127,6 +132,11 @@ def _read(parser, text: str, start, end, chars, roots: list) -> dict:
             node.col = _source_col(shifts, node.line, node.col)
             nodes.extend(node.children)
         return shifts
+    finally:
+        # The handlers close over the parser; unset, the parser and all
+        # they hold are freed on return instead of by the cyclic collector.
+        parser.StartElementHandler = parser.EndElementHandler = None
+        parser.CharacterDataHandler = parser.StartDoctypeDeclHandler = None
     col = _source_col(shifts, line, col)
     raise ParseError(ParseErrorKind.MALFORMED_XML, line, col, detail) from None
 

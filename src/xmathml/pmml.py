@@ -41,8 +41,6 @@ INFIX_ROLES = frozenset({"ADDOP", "MULOP", "RELOP", "BINOP"})
 #: whole formula to display="block".
 LARGEOP_ROLES = frozenset({"INTOP", "SUMOP", "BIGOP", "LIMITOP"})
 
-_DIGITS = frozenset("0123456789")
-
 
 def token_to_pmml(tok: XMathNode) -> TargetNode:
     """Map one token to its presentation element, attributes and text.
@@ -58,7 +56,7 @@ def token_to_pmml(tok: XMathNode) -> TargetNode:
     text = tok.text or ""
     if role in MO_ROLES:
         element = "mo"
-    elif text and all(ch in _DIGITS for ch in text):
+    elif text.isdigit() and text.isascii():
         element = "mn"
     else:
         element = "mi"
@@ -80,7 +78,7 @@ def token_to_pmml(tok: XMathNode) -> TargetNode:
         attrs["symmetric"] = "true"
     if role in ("OPEN", "CLOSE") and tok.attrs.stretchy:
         attrs["fence"] = "true"
-    return TargetNode(element, attrs, text=text)
+    return TargetNode(element, attrs, [], text)
 
 
 def gen_pmml(doc: XMathDocument, vis: VisibilityMap) -> TargetNode:

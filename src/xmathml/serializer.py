@@ -133,5 +133,6 @@ def serialize_mathml(root: TargetNode, opts: SerializeOptions | None = None) -> 
             append(f"{head}{extra}/>{newline}")
 
     emit(root, "", xmlns)
+    del emit  # it refers to itself: unbound, the parts are freed on return
     text = "".join(parts)
     return text if text.endswith("\n") else text + "\n"

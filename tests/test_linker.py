@@ -155,20 +155,44 @@ def test_no_xref_without_opposite_targets():
 
 
 def test_id_collision_detected():
-    # f is shared and shows up twice in presentation, taking ids m1.1 and
-    # m1.1a; the g token's own xml:id is also m1.1a.
+    # First ids never skip: the x.cmml token's presentation id and the x
+    # token's content id are both x.cmml.
     doc = parse_xmath(
-        "<XMDual>"
-        "<XMApp><XMTok xml:id='m1.1' role='FUNCTION'>f</XMTok>"
-        "<XMRef idref='m1.1a'/></XMApp>"
-        "<XMWrap><XMRef idref='m1.1'/><XMRef idref='m1.1'/>"
-        "<XMTok xml:id='m1.1a'>g</XMTok></XMWrap>"
-        "</XMDual>"
+        "<XMApp><XMTok role='ADDOP' meaning='plus'/><XMTok xml:id='x'>a</XMTok>"
+        "<XMTok xml:id='x.cmml'>b</XMTok></XMApp>"
     )
     vis = mark_visibility(doc)
     registry = build_registry(gen_pmml(doc, vis), gen_cmml(doc, vis))
-    with pytest.raises(IdCollisionError):
+    with pytest.raises(IdCollisionError, match="'x.cmml' allocated twice"):
         assign_ids(registry, IdScheme.infer(doc))
+
+
+@pytest.mark.parametrize(
+    "text, presentation_ids",
+    [
+        # x shows up twice beside a token whose own xml:id is xa.
+        (
+            "<XMApp><XMTok role='ADDOP' meaning='plus'/><XMTok xml:id='x'>x</XMTok>"
+            "<XMRef idref='x'/><XMTok xml:id='xa'>y</XMTok></XMApp>",
+            ["m1.1", "x", "m1.2", "xb", "m1.2a", "xa"],
+        ),
+        # f shows up twice beside the g token, whose xml:id is m1.1a.
+        (
+            "<XMDual>"
+            "<XMApp><XMTok xml:id='m1.1' role='FUNCTION'>f</XMTok>"
+            "<XMRef idref='m1.1a'/></XMApp>"
+            "<XMWrap><XMRef idref='m1.1'/><XMRef idref='m1.1'/>"
+            "<XMTok xml:id='m1.1a'>g</XMTok></XMWrap>"
+            "</XMDual>",
+            ["m1.2", "m1.1", "m1.1b", "m1.1a"],
+        ),
+    ],
+)
+def test_suffixes_skip_issued_ids(text, presentation_ids):
+    math = build_parallel(parse_xmath(text))
+    presentation = math.children[0].children[0]
+    assert [node.attrs["id"] for node in presentation.iter()] == presentation_ids
+    assert check_links(math).ok
 
 
 def test_wrapper_id_collision_with_input():
@@ -412,8 +436,8 @@ def test_check_reports_pinned(sum_function_xmath, quantum_xmath):
 #: input ids beside the letters a shared source's copies take, and input
 #: ids shaped like fresh or wrapper ids.
 _ID_SHAPES = (
-    # x shows up twice in presentation (x, xa) beside a token whose own
-    # xml:id is xa: a collision.
+    # x shows up twice in presentation beside a token whose own xml:id is
+    # xa: x's copy skips xa and takes xb.
     "<XMDual><XMApp><XMTok meaning='times'/><XMRef idref='x'/><XMRef idref='xa'/></XMApp>"
     "<XMWrap><XMTok xml:id='x'>x</XMTok><XMRef idref='x'/><XMTok xml:id='xa'>y</XMTok>"
     "</XMWrap></XMDual>",
@@ -421,7 +445,7 @@ _ID_SHAPES = (
     "<XMDual><XMApp><XMTok meaning='times'/><XMRef idref='xa'/><XMRef idref='x'/></XMApp>"
     "<XMWrap><XMTok xml:id='xa'>y</XMTok><XMTok xml:id='x'>x</XMTok><XMRef idref='x'/>"
     "</XMWrap></XMDual>",
-    # Two collisions in one input (xa and yb).
+    # Two skips in one input (past xa and yb).
     "<XMDual><XMApp><XMTok meaning='times'/><XMRef idref='x'/><XMRef idref='y'/>"
     "<XMRef idref='xa'/><XMRef idref='yb'/></XMApp>"
     "<XMWrap><XMTok xml:id='yb'>w</XMTok><XMTok xml:id='x'>x</XMTok><XMRef idref='x'/>"
@@ -493,9 +517,11 @@ def _allocation_records(sum_function_xmath, quantum_xmath):
 
 
 #: SHA-256 over _allocation_records(), recorded at the commit before the
-#: registry kept flat per-branch node lists.
+#: registry kept flat per-branch node lists. Since suffixes skip issued ids,
+#: the records of the first three _ID_SHAPES (both builds each) hold their
+#: ids instead of IdCollisionError; every other record is unchanged.
 ID_ALLOCATION_DIGEST = (
-    "3bd3d87c5c3776f91e7641a9f4e9d79bf80423e7b484af567f24c05be43c70e2"
+    "bdff1530f5ed14ea3cdec9d0a107360e90ea6dbe5700aa0a14bef287779c0933"
 )
 
 

@@ -329,6 +329,31 @@ def test_standard_entities_are_resolved():
 
 
 @pytest.mark.parametrize(
+    "read, text_of",
+    [(read_xml_tree, lambda raw: raw.text), (parse_xmath, lambda doc: doc.root.text)],
+    ids=["read_xml_tree", "parse_xmath"],
+)
+def test_cdata_keeps_entities_as_written(read, text_of):
+    tok = read("<XMTok><![CDATA[&alpha;]]>&alpha;<![CDATA[&rsqb;&rsqb;>]]></XMTok>")
+    assert text_of(tok) == "&alpha;α&rsqb;&rsqb;>"
+    tok = read("<XMTok><!-- <![CDATA[ -->&beta;<!-- ]]> --></XMTok>")
+    assert text_of(tok) == "β"
+    # A fault after a CDATA section and an entity on the same line is
+    # located in the text as written.
+    for text in (
+        "<XMTok><![CDATA[&alpha;]]>&beta;&Foo;</XMTok>",
+        "<XMTok><![CDATA[a\n&alpha;&alpha;]]>&beta;&Foo;</XMTok>",
+    ):
+        with pytest.raises(ParseError) as excinfo:
+            read(text)
+        err = excinfo.value
+        assert (err.line, err.col, err.detail) == (
+            *_position(text, "&Foo;"),
+            "undefined entity",
+        )
+
+
+@pytest.mark.parametrize(
     "text, expected",
     [
         (f"<math><mi>&alpha;</mi><mo>&{name};</mo></math>", (1, 27))
