@@ -11,12 +11,8 @@ from __future__ import annotations
 
 from .errors import ReferenceCycleError
 from .mml import TargetNode
-from .model import Branch, NodeKind, XMathDocument, XMathNode
+from .model import CONTENT, DUAL, REF, TOK, WRAP, Branch, XMathDocument, XMathNode
 from .visibility import VisibilityMap
-
-# Bound once: per node, a lookup through the enum class costs ~10x a global.
-_CONTENT = Branch.CONTENT
-_DUAL, _REF, _TOK, _WRAP = NodeKind.DUAL, NodeKind.REF, NodeKind.TOK, NodeKind.WRAP
 
 
 def ascribe(
@@ -46,7 +42,7 @@ def ascribe(
     if vis.both_visible(current):
         return current
     if container is not None:
-        operator = doc.top_operator(container, _CONTENT)
+        operator = doc.top_operator(container, CONTENT)
         if operator is not None and not vis.presentation_visible(operator):
             return operator
         return container
@@ -57,8 +53,8 @@ class BranchWalk:
     """Generation walk over one branch of the XMath tree.
 
     Duals descend into the walk's own branch and become the container of
-    their subtree. Refs are chased to their targets, with the ref's own
-    container kept in force, and a ref met again on the current path
+    their subtree. A ref chain is chased in one step to its end, with the
+    ref's own container kept in force; a ref met again on the current path
     raises ReferenceCycleError. The subtree a ref leads to is generated
     once per (target, container) pair and copied on later visits.
     Subclasses set ``branch`` and supply ``token`` (a token's unascribed
@@ -81,20 +77,19 @@ class BranchWalk:
         container: XMathNode | None,
         is_container: bool,
     ) -> TargetNode:
-        """Record the ascribed source, branch and origin on ``built``."""
+        """Record the ascribed source and origin on ``built``."""
         built.source = ascribe(self.doc, self.vis, current, container, is_container)
-        built.branch = self.branch
         built.origin = current
         return built
 
     def walk(self, node: XMathNode, container: XMathNode | None) -> TargetNode:
         kind = node.kind
-        if kind is _DUAL:
+        if kind is DUAL:
             return self.walk(node.children[self.branch], node)
-        if kind is _REF:
+        if kind is REF:
             if node.index in self._active_refs:
                 raise ReferenceCycleError("reference cycle via idref", node)
-            target = self.doc.resolve_ref(node)
+            target = self.doc.deref(node)
             key = target.index, -1 if container is None else container.index
             made = self._made.get(key)
             if made is not None:
@@ -105,9 +100,9 @@ class BranchWalk:
             finally:
                 self._active_refs.discard(node.index)
             return made
-        if kind is _TOK:
+        if kind is TOK:
             return self.target(self.token(node), node, container, False)
-        if kind is _WRAP:
+        if kind is WRAP:
             return self.wrap(node, container)
         return self.apply(node, container)
 
@@ -121,6 +116,5 @@ def _clone(node: TargetNode) -> TargetNode:
         [_clone(child) for child in children] if children else [],
         node.text,
         node.source,
-        node.branch,
         node.origin,
     )

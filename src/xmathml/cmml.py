@@ -19,11 +19,9 @@ from .ascription import BranchWalk
 from .errors import ArityMismatchError, ContentWrapError, MalformedApplyError
 from .glyphs import is_greek_capital, script_form
 from .mml import TargetNode
-from .model import Branch, NodeKind, XMathDocument, XMathNode
+from .model import CONTENT, TOK, XMathDocument, XMathNode
 from .parser import MAX_NESTING_DEPTH
 from .visibility import VisibilityMap
-
-_TOK = NodeKind.TOK  # bound once: an enum member lookup is slow per node
 
 #: Meanings rendered as bare pragmatic content elements. Most map to the
 #: element of the same name; aliases cover the integral spellings.
@@ -36,11 +34,10 @@ _IDENTITY_ELEMENTS = (
     "emptyset infinity pi imaginaryi exponentiale"
 )
 
-KNOWN_CONTENT_ELEMENTS: dict[str, str] = {
-    name: name for name in _IDENTITY_ELEMENTS.split()
-}
-KNOWN_CONTENT_ELEMENTS["integral"] = "int"
-KNOWN_CONTENT_ELEMENTS["hack-definite-integral"] = "int"
+KNOWN_CONTENT_ELEMENTS: Mapping[str, str] = MappingProxyType(
+    {name: name for name in _IDENTITY_ELEMENTS.split()}
+    | {"integral": "int", "hack-definite-integral": "int"}
+)
 
 #: Template terms: ("head",) renders the operator token, ("slot", k) the
 #: k-th argument, ("elem", name, children) a literal element. A literal
@@ -161,13 +158,8 @@ hack-definite-integral    4      (apply head (bvar slot4) (lowlimit slot1) (upli
 
 @dataclass(frozen=True)
 class MeaningTable:
-    """Total lookup from token meanings to content markup.
+    """Expansion rules, by the meaning of the operator they rewrite."""
 
-    Meanings resolve to a known empty element, to an expansion rule when
-    used as an operator, or fall back to a latexml csymbol.
-    """
-
-    elements: Mapping[str, str]
     expansions: Mapping[str, ExpansionRule]
 
     @staticmethod
@@ -178,25 +170,23 @@ class MeaningTable:
     def extended(self, rules: Mapping[str, ExpansionRule]) -> "MeaningTable":
         merged = dict(self.expansions)
         merged.update(rules)
-        return MeaningTable(self.elements, merged)
+        return MeaningTable(merged)
 
 
 _DEFAULT_TABLE = MeaningTable(
-    MappingProxyType(dict(KNOWN_CONTENT_ELEMENTS)),
-    MappingProxyType(load_expansion_table(BUILTIN_EXPANSIONS)),
+    MappingProxyType(load_expansion_table(BUILTIN_EXPANSIONS))
 )
 
 
-def token_to_cmml(tok: XMathNode, table: MeaningTable | None = None) -> TargetNode:
+def token_to_cmml(tok: XMathNode) -> TargetNode:
     """Map one token to its content element.
 
     Identifier text follows the token's font: upright Greek capitals get a
     "normal-" prefix, calligraphic letters their script code point.
     """
-    table = table or MeaningTable.default()
     meaning = tok.attrs.meaning
     if meaning is not None:
-        element = table.elements.get(meaning)
+        element = KNOWN_CONTENT_ELEMENTS.get(meaning)
         if element is not None:
             return TargetNode(element)
         return TargetNode("csymbol", {"cd": "latexml"}, [], meaning)
@@ -221,14 +211,14 @@ def gen_cmml(
 
 
 class _Walk(BranchWalk):
-    branch = Branch.CONTENT
+    branch = CONTENT
 
     def __init__(self, doc: XMathDocument, vis: VisibilityMap, table: MeaningTable):
         super().__init__(doc, vis)
         self.table = table
 
     def token(self, tok: XMathNode) -> TargetNode:
-        return token_to_cmml(tok, self.table)
+        return token_to_cmml(tok)
 
     def wrap(self, node: XMathNode, container: XMathNode | None) -> TargetNode:
         name = node.attrs.xml_id or f"node {node.index}"
@@ -242,7 +232,7 @@ class _Walk(BranchWalk):
         if not app.children:
             raise MalformedApplyError("XMApp without an operator", app)
         op = self.doc.deref(app.children[0])
-        rule = self.table.expansions.get(op.attrs.meaning) if op.kind is _TOK else None
+        rule = self.table.expansions.get(op.attrs.meaning) if op.kind is TOK else None
         if rule is None:
             children = [self.walk(child, container) for child in app.children]
             return self.target(TargetNode("apply", {}, children), app, container, True)

@@ -12,11 +12,9 @@ from .linker import (
     link_xrefs,
 )
 from .mml import TargetNode
-from .model import NodeKind, XMathDocument
+from .model import TOK, XMathDocument
 from .pmml import LARGEOP_ROLES, gen_pmml
 from .visibility import VisibilityMap, mark_visibility
-
-_TOK = NodeKind.TOK  # bound once: an enum member lookup is slow per node
 
 
 def derive_display(doc: XMathDocument, vis: VisibilityMap) -> str | None:
@@ -28,7 +26,7 @@ def derive_display(doc: XMathDocument, vis: VisibilityMap) -> str | None:
     """
     for node in doc.nodes:
         if (
-            node.kind is _TOK
+            node.kind is TOK
             and node.attrs.mathstyle == "display"
             and node.attrs.role in LARGEOP_ROLES
             and vis.presentation_visible(node)

@@ -17,13 +17,11 @@ from operator import attrgetter
 
 from .errors import IdCollisionError
 from .mml import TargetNode
-from .model import Branch, XMathDocument
+from .model import CONTENT, PRESENTATION, Branch, XMathDocument
 
 CONTENT_ID_SUFFIX = ".cmml"
 
-# Bound once: per node, a lookup through the enum class costs ~10x a global.
-_CONTENT, _PRESENTATION = Branch.CONTENT, Branch.PRESENTATION
-_BRANCH_ORDER = (_PRESENTATION, _CONTENT)
+_BRANCH_ORDER = (PRESENTATION, CONTENT)
 _SOURCE = attrgetter("source")
 _DUPLICATE = "id {!r} appears more than once"
 _LOWERCASE = "abcdefghijklmnopqrstuvwxyz"  # importing string costs ~1.5 ms
@@ -81,7 +79,7 @@ class AscriptionRegistry:
         while stack:
             node = stack.pop()
             source = node.source
-            if source is None or node.branch is None:
+            if source is None:
                 raise ValueError(f"unascribed node {node!r} reached the linker")
             group = get(source.index)
             if group is None:
@@ -107,9 +105,9 @@ def build_registry(
 ) -> AscriptionRegistry:
     registry = AscriptionRegistry()
     if pmml is not None:
-        registry.add_tree(pmml, Branch.PRESENTATION)
+        registry.add_tree(pmml, PRESENTATION)
     if cmml is not None:
-        registry.add_tree(cmml, Branch.CONTENT)
+        registry.add_tree(cmml, CONTENT)
     return registry
 
 
@@ -144,7 +142,7 @@ def assign_ids(registry: AscriptionRegistry, scheme: IdScheme) -> None:
     shared: list[tuple[list[TargetNode], str, str]] = []
     # First ids first, so that no suffixed id can take one.
     for branch in _BRANCH_ORDER:
-        suffix = CONTENT_ID_SUFFIX if branch is _CONTENT else ""
+        suffix = CONTENT_ID_SUFFIX if branch is CONTENT else ""
         for index, nodes in registry.groups[branch].items():
             base = bases.get(index)
             if base is None:
@@ -308,13 +306,13 @@ def check_links(math: TargetNode) -> LinkReport:
     # the presentation side, the content side or the wrappers around them.
     all_ids: dict[str, TargetNode] = {}
     branch_of: dict[str, Branch] = {}
-    sides: dict[Branch, list[TargetNode]] = {_PRESENTATION: [], _CONTENT: []}
+    sides: dict[Branch, list[TargetNode]] = {PRESENTATION: [], CONTENT: []}
     wrappers: list[TargetNode] = []
 
     def walk_side(root: TargetNode, branch: Branch) -> None:
         bucket = sides[branch]
         # Content claims an id both sides carry, whichever comes first.
-        mark = branch_of.__setitem__ if branch is _CONTENT else branch_of.setdefault
+        mark = branch_of.__setitem__ if branch is CONTENT else branch_of.setdefault
         stack = [root]
         while stack:
             node = stack.pop()
@@ -331,9 +329,9 @@ def check_links(math: TargetNode) -> LinkReport:
     while stack:
         node = stack.pop()
         if node is presentation:
-            walk_side(node, _PRESENTATION)
+            walk_side(node, PRESENTATION)
         elif node is content:
-            walk_side(node, _CONTENT)
+            walk_side(node, CONTENT)
         else:
             wrappers.append(node)
             node_id = node.attrs.get("id")
@@ -363,7 +361,7 @@ def check_links(math: TargetNode) -> LinkReport:
     def classify(nodes: list[TargetNode], branch: Branch) -> tuple[dict, dict]:
         """Each id-carrying node's source class, and each class's first id."""
         class_of, first_of = {}, {}
-        strip_suffix = branch is _CONTENT
+        strip_suffix = branch is CONTENT
         for node in nodes:
             node_id = node.attrs.get("id")
             if node_id is None:

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from .model import Branch, XMathNode
+from .model import XMathNode
 
 MATHML_NAMESPACE = "http://www.w3.org/1998/Math/MathML"
 
@@ -15,7 +15,7 @@ class TargetNode:
 
     ``origin`` records the XMath node that directly generated the target
     (the "current" node of the ascription step); it is diagnostic only
-    and never serialized.
+    and never serialized. A node's branch is the tree it is in.
     """
 
     element: str
@@ -23,7 +23,6 @@ class TargetNode:
     children: list["TargetNode"] = field(default_factory=list)
     text: str | None = None
     source: XMathNode | None = None
-    branch: Branch | None = None
     origin: XMathNode | None = None
 
     def iter(self) -> Iterator["TargetNode"]:

@@ -49,9 +49,11 @@ class Branch(IntEnum):
         return _OPPOSITE[self]
 
 
-_OPPOSITE = (Branch.PRESENTATION, Branch.CONTENT)
-# Bound once: per node, a lookup through the enum class costs ~10x a global.
-_APP, _DUAL, _REF = NodeKind.APP, NodeKind.DUAL, NodeKind.REF
+# Bound once for all modules: per node, an enum class lookup costs ~10x a global.
+APP, TOK, DUAL = NodeKind.APP, NodeKind.TOK, NodeKind.DUAL
+REF, WRAP = NodeKind.REF, NodeKind.WRAP
+CONTENT, PRESENTATION = Branch.CONTENT, Branch.PRESENTATION
+_OPPOSITE = (PRESENTATION, CONTENT)
 
 
 @dataclass(slots=True)
@@ -110,6 +112,7 @@ class XMathDocument:
         self.root = root
         self.nodes: list[XMathNode] = []
         self.id_index: dict[str, XMathNode] = {}
+        self._ends: dict[int, XMathNode] = {}  # ref index -> deref result
         self._index(root)
         for node in self.nodes:
             idref = node.attrs.idref
@@ -139,20 +142,24 @@ class XMathDocument:
 
     def resolve_ref(self, ref_node: XMathNode) -> XMathNode:
         """Resolve an XMRef one step, to the node carrying its idref as xml:id."""
-        if ref_node.kind is not _REF:
+        if ref_node.kind is not REF:
             raise ValueError("resolve_ref expects an XMRef node")
         return self.id_index[ref_node.attrs.idref]
 
     def deref(self, node: XMathNode) -> XMathNode:
-        """Follow XMRef chains to a non-ref node, guarding against cycles."""
-        if node.kind is not _REF:
+        """Follow XMRef chains to a non-ref node, guarding against cycles.
+
+        Each ref's end is remembered, so every link is followed once;
+        threads that race on an entry store the same end."""
+        if node.kind is not REF:
             return node
         seen: set[int] = set()
-        while node.kind is _REF:
+        while node.kind is REF:
             if node.index in seen:
                 raise ReferenceCycleError("reference cycle via idref", node)
             seen.add(node.index)
-            node = self.resolve_ref(node)
+            node = self._ends.get(node.index) or self.resolve_ref(node)
+        self._ends.update(dict.fromkeys(seen, node))
         return node
 
     def top_operator(self, dual: XMathNode, branch: Branch) -> XMathNode | None:
@@ -161,9 +168,9 @@ class XMathDocument:
         Refs are chased both for the branch root and for the operator
         position; a branch that is not an application has no operator.
         """
-        if dual.kind is not _DUAL:
+        if dual.kind is not DUAL:
             raise ValueError("top_operator expects an XMDual node")
         root = self.deref(dual.children[branch])
-        if root.kind is not _APP or not root.children:
+        if root.kind is not APP or not root.children:
             return None
         return self.deref(root.children[0])

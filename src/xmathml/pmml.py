@@ -11,10 +11,8 @@ from .ascription import BranchWalk
 from .errors import MalformedApplyError
 from .glyphs import is_greek_capital, script_form
 from .mml import TargetNode
-from .model import Branch, NodeKind, XMathDocument, XMathNode
+from .model import APP, PRESENTATION, TOK, XMathDocument, XMathNode
 from .visibility import VisibilityMap
-
-_APP, _TOK = NodeKind.APP, NodeKind.TOK  # bound once: enum lookups are slow per node
 
 APPLY_FUNCTION = "⁡"
 INVISIBLE_TIMES = "⁢"
@@ -87,7 +85,7 @@ def gen_pmml(doc: XMathDocument, vis: VisibilityMap) -> TargetNode:
 
 
 class _Walk(BranchWalk):
-    branch = Branch.PRESENTATION
+    branch = PRESENTATION
 
     def token(self, tok: XMathNode) -> TargetNode:
         return token_to_pmml(tok)
@@ -102,27 +100,24 @@ class _Walk(BranchWalk):
         op_node = app.children[0]
         args = app.children[1:]
         op = self.doc.deref(op_node)
-        role = op.attrs.role if op.kind is _TOK else None
+        role = op.attrs.role if op.kind is TOK else None
 
         if role in ("SUPERSCRIPTOP", "SUBSCRIPTOP") and len(args) == 2:
             return self._script(app, op, args, container)
-        if role == "FUNCTION":
-            af = TargetNode("mo", text=APPLY_FUNCTION)
-            children = [self.walk(op_node, container)]
-            children.append(self.target(af, app, container, False))
-            children.extend(self.walk(arg, container) for arg in args)
-            return self.target(TargetNode("mrow", {}, children), app, container, True)
         if role in INFIX_ROLES and len(args) >= 2:
             children = []
             for i, arg in enumerate(args):
                 if i:
                     children.append(self._infix_operator(op, container))
                 children.append(self.walk(arg, container))
-            return self.target(TargetNode("mrow", {}, children), app, container, True)
-        # Prefix layout covers differential operators, large operators and
-        # applications whose operator is itself a compound.
-        children = [self.walk(op_node, container)]
-        children.extend(self.walk(arg, container) for arg in args)
+        else:
+            # Prefix layout covers functions, differential operators, large
+            # operators and applications whose operator is itself a compound.
+            children = [self.walk(op_node, container)]
+            if role == "FUNCTION":
+                af = TargetNode("mo", text=APPLY_FUNCTION)
+                children.append(self.target(af, app, container, False))
+            children.extend(self.walk(arg, container) for arg in args)
         return self.target(TargetNode("mrow", {}, children), app, container, True)
 
     def _infix_operator(
@@ -164,10 +159,10 @@ class _Walk(BranchWalk):
         The script operator tokens themselves never produce output.
         """
         inner = self.doc.deref(base)
-        if inner.kind is not _APP or len(inner.children) != 3:
+        if inner.kind is not APP or len(inner.children) != 3:
             return None
         inner_op = self.doc.deref(inner.children[0])
-        if inner_op.kind is not _TOK or inner_op.attrs.role != "SUBSCRIPTOP":
+        if inner_op.kind is not TOK or inner_op.attrs.role != "SUBSCRIPTOP":
             return None
         if inner_op.attrs.scriptpos != op.attrs.scriptpos:
             return None

@@ -10,22 +10,17 @@ only ever grow per node, so cycles through refs terminate.
 
 from __future__ import annotations
 
-from .model import NodeKind, XMathDocument, XMathNode
+from .model import DUAL, REF, XMathDocument, XMathNode
 
 _C = 1
 _P = 2
-# Bound once: per node, a lookup through the enum class costs ~10x a global.
-_DUAL, _REF = NodeKind.DUAL, NodeKind.REF
 
 
 class VisibilityMap:
-    """Per-node (content_visible, presentation_visible) flags."""
+    """Per-node (content, presentation) visibility flags."""
 
     def __init__(self, flags: list[int]):
         self._flags = flags
-
-    def content_visible(self, node: XMathNode) -> bool:
-        return bool(self._flags[node.index] & _C)
 
     def presentation_visible(self, node: XMathNode) -> bool:
         return bool(self._flags[node.index] & _P)
@@ -52,10 +47,10 @@ def mark_visibility(doc: XMathDocument) -> VisibilityMap:
             continue
         flags[node.index] |= new
         kind = node.kind
-        if kind is _DUAL:
+        if kind is DUAL:
             work.append((node.children[0], new & _C))
             work.append((node.children[1], new & _P))
-        elif kind is _REF:
+        elif kind is REF:
             work.append((doc.resolve_ref(node), new))
         else:
             for child in node.children:

@@ -9,12 +9,14 @@ from xmathml import (
     ReferenceCycleError,
     ascribe,
     build_parallel,
+    check_links,
     gen_cmml,
     gen_pmml,
     mark_visibility,
     parse_xmath,
+    serialize_mathml,
 )
-from helpers import nearest_dual_ancestor
+from helpers import nearest_dual_ancestor, parse_mathml
 from treegen import random_document
 
 
@@ -132,7 +134,6 @@ def test_totality_over_generated_trees(seed):
     cmml = gen_cmml(doc, vis)
     for node in list(pres.iter()) + list(cmml.iter()):
         assert node.source is not None
-        assert node.branch is not None
 
 
 @pytest.mark.parametrize(
@@ -147,6 +148,24 @@ def test_totality_over_generated_trees(seed):
             '<XMDual xml:id="d"><XMTok meaning="x"/><XMRef idref="d"/></XMDual>',
             gen_pmml,
         ),
+        # Ref chains chased in one step: two refs naming each other, three
+        # refs in a ring, and a dual's content child leading back to the
+        # dual through two refs.
+        (
+            '<XMApp><XMTok>a</XMTok><XMRef xml:id="p" idref="q"/>'
+            '<XMRef xml:id="q" idref="p"/></XMApp>',
+            gen_pmml,
+        ),
+        (
+            '<XMApp><XMTok>a</XMTok><XMRef xml:id="c" idref="a"/>'
+            '<XMRef xml:id="b" idref="c"/><XMRef xml:id="a" idref="b"/></XMApp>',
+            gen_cmml,
+        ),
+        (
+            '<XMApp><XMTok>a</XMTok><XMDual xml:id="d"><XMRef xml:id="r" idref="s"/>'
+            '<XMTok>b</XMTok></XMDual><XMRef xml:id="s" idref="d"/></XMApp>',
+            gen_cmml,
+        ),
     ],
 )
 def test_reference_cycle_is_located(text, generate):
@@ -157,3 +176,36 @@ def test_reference_cycle_is_located(text, generate):
     assert (excinfo.value.line, excinfo.value.col) == (1, text.index("<XMRef") + 1)
     with pytest.raises(ReferenceCycleError):
         build_parallel(doc)
+
+
+def _ref_chain(links: int) -> str:
+    """A sum whose first term is a ref leading to the token ``r0`` through
+    ``links`` refs, each a later term of the sum, so the walks meet the
+    far end of the chain first."""
+    refs = "".join(
+        f"<XMRef xml:id='r{k}' idref='r{k - 1}'/>" for k in range(links, 0, -1)
+    )
+    plus = "<XMTok role='ADDOP' meaning='plus'>+</XMTok>"
+    return f"<XMApp>{plus}{refs}<XMTok xml:id='r0'>x</XMTok></XMApp>"
+
+
+def test_ref_chain_is_chased_in_one_step(monkeypatch):
+    # Longer than the interpreter's default recursion limit of 1,000.
+    doc = parse_xmath(_ref_chain(2_000))
+    steps = []
+    one_step = doc.resolve_ref
+
+    def counted(ref):
+        steps.append(ref)
+        return one_step(ref)
+
+    monkeypatch.setattr(doc, "resolve_ref", counted)
+    math = build_parallel(doc)
+    # Marking follows each link at most once per branch and the two walks
+    # together once more, not once for every ref before it in the chain.
+    assert len(steps) <= 3 * 2_000
+    assert check_links(math).ok
+    text = serialize_mathml(math)
+    assert text.count(">x</mi>") == 2_001
+    assert check_links(parse_mathml(text)).ok
+

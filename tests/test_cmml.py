@@ -263,10 +263,10 @@ def test_default_table_is_shared_and_read_only():
     first, second = MeaningTable.default(), MeaningTable.default()
     assert first == second
     with pytest.raises(TypeError):
-        first.elements["plus"] = "minus"
+        KNOWN_CONTENT_ELEMENTS["plus"] = "minus"
     with pytest.raises(TypeError):
         first.expansions["x"] = first.expansions["hack-definite-integral"]
-    assert second.elements["plus"] == "plus"
+    assert KNOWN_CONTENT_ELEMENTS["plus"] == "plus"
 
 
 def test_user_rules_override_builtin():
@@ -289,9 +289,9 @@ def test_content_invariants(seed):
     token_yield: dict[int, int] = {}
     for node in tree.iter():
         assert node.element in allowed
-        assert vis.content_visible(node.origin)
+        assert vis.flags(node.origin)[0]
         if node.element != "apply" and not node.children:
             token_yield[node.origin.index] = token_yield.get(node.origin.index, 0) + 1
     for node in doc.nodes:
-        if node.kind is NodeKind.TOK and vis.content_visible(node):
+        if node.kind is NodeKind.TOK and vis.flags(node)[0]:
             assert token_yield.get(node.index, 0) >= 1

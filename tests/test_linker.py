@@ -6,10 +6,14 @@ import random
 import pytest
 
 from xmathml import (
+    Branch,
     EntityMode,
     IdScheme,
     NodeKind,
     SerializeOptions,
+    TargetNode,
+    XMathDocument,
+    XMathNode,
     assemble_parallel,
     assemble_single,
     assign_ids,
@@ -325,11 +329,23 @@ def test_byte_stable_output(quantum_xmath):
     assert run() == run()
 
 
+def test_registry_refuses_unascribed_node():
+    doc = XMathDocument(XMathNode(NodeKind.TOK, text="a"))
+    ascribed = TargetNode("mi", text="a", source=doc.root)
+    unascribed = TargetNode("mi", text="b")
+    tree = TargetNode("mrow", children=[ascribed, unascribed], source=doc.root)
+    message = r"^unascribed node <mi 'b'> reached the linker$"
+    for trees in ({"pmml": tree}, {"cmml": tree}):
+        with pytest.raises(ValueError, match=message):
+            build_registry(**trees)
+
+
 def test_source_level_bijection(quantum_doc):
     pres, cmml, _ = _linked(quantum_doc)
     by_source = {}
-    for node in list(pres.iter()) + list(cmml.iter()):
-        by_source.setdefault((node.source.index, node.branch), []).append(node)
+    for branch, tree in ((Branch.PRESENTATION, pres), (Branch.CONTENT, cmml)):
+        for node in tree.iter():
+            by_source.setdefault((node.source.index, branch), []).append(node)
     for (source, branch), nodes in by_source.items():
         opposite = by_source.get((source, branch.opposite))
         if not opposite:

@@ -8,6 +8,7 @@ import hashlib
 import pytest
 
 from xmathml import (
+    Branch,
     EntityMode,
     SerializeOptions,
     build_parallel,
@@ -41,6 +42,16 @@ def _index(node) -> int:
     return -1 if node is None else node.index
 
 
+def _branches(math) -> dict[int, int]:
+    """Each generated node's branch, from the tree it is in; the wrappers
+    around the two trees have none."""
+    presentation, annotation_xml = math.children[0].children[:2]
+    branch_of = dict.fromkeys(map(id, presentation.iter()), int(Branch.PRESENTATION))
+    content = annotation_xml.children[0]
+    branch_of.update(dict.fromkeys(map(id, content.iter()), int(Branch.CONTENT)))
+    return branch_of
+
+
 def _converted(texts):
     """(doc, math) per accepted text, or (doc, exception) per rejected one."""
     for text in texts:
@@ -66,8 +77,9 @@ def test_shared_generation_pinned(shared_texts):
             continue
         for opts in _MODES:
             digest.update(serialize_mathml(math, opts).encode("utf-8"))
+        branch_of = _branches(math)
         for node in math.iter():
-            branch = -1 if node.branch is None else int(node.branch)
+            branch = branch_of.get(id(node), -1)
             record = (node.element, _index(node.source), branch, _index(node.origin))
             digest.update(f"{record}\n".encode("utf-8"))
     # Most documents convert; the planted faults are few.
