@@ -9,9 +9,9 @@ decides between the operator they manifest and the enclosing dual.
 
 from __future__ import annotations
 
-from .errors import ReferenceCycleError
+from .errors import ConversionError, MalformedApplyError, ReferenceCycleError
 from .mml import TargetNode
-from .model import CONTENT, DUAL, REF, TOK, WRAP, Branch, XMathDocument, XMathNode
+from .model import DUAL, REF, TOK, WRAP, Branch, XMathDocument, XMathNode
 from .visibility import VisibilityMap
 
 
@@ -42,7 +42,7 @@ def ascribe(
     if vis.both_visible(current):
         return current
     if container is not None:
-        operator = doc.top_operator(container, CONTENT)
+        operator = doc.top_operator(container)
         if operator is not None and not vis.presentation_visible(operator):
             return operator
         return container
@@ -55,10 +55,11 @@ class BranchWalk:
     Duals descend into the walk's own branch and become the container of
     their subtree. A ref chain is chased in one step to its end, with the
     ref's own container kept in force; a ref met again on the current path
-    raises ReferenceCycleError. The subtree a ref leads to is generated
-    once per (target, container) pair and copied on later visits.
-    Subclasses set ``branch`` and supply ``token`` (a token's unascribed
-    element), ``wrap`` and ``apply``.
+    raises ReferenceCycleError, and one nested past the interpreter's
+    stack ConversionError. The subtree a ref leads to is generated once
+    per (target, container) pair and copied on later visits. Subclasses
+    set ``branch`` and supply ``token`` (a token's unascribed element),
+    ``wrap`` and ``apply`` (for an XMApp with an operator).
     """
 
     branch: Branch
@@ -97,6 +98,8 @@ class BranchWalk:
             self._active_refs.add(node.index)
             try:
                 made = self._made[key] = self.walk(target, container)
+            except RecursionError:
+                raise ConversionError("refs nested too deeply to follow", node) from None
             finally:
                 self._active_refs.discard(node.index)
             return made
@@ -104,6 +107,8 @@ class BranchWalk:
             return self.target(self.token(node), node, container, False)
         if kind is WRAP:
             return self.wrap(node, container)
+        if not node.children:
+            raise MalformedApplyError("XMApp without an operator", node)
         return self.apply(node, container)
 
 

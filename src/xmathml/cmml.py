@@ -16,7 +16,7 @@ from types import MappingProxyType
 from typing import Mapping
 
 from .ascription import BranchWalk
-from .errors import ArityMismatchError, ContentWrapError, MalformedApplyError
+from .errors import ArityMismatchError, ContentWrapError, ConversionError
 from .glyphs import is_greek_capital, script_form
 from .mml import TargetNode
 from .model import CONTENT, TOK, XMathDocument, XMathNode
@@ -229,8 +229,6 @@ class _Walk(BranchWalk):
         )
 
     def apply(self, app: XMathNode, container: XMathNode | None) -> TargetNode:
-        if not app.children:
-            raise MalformedApplyError("XMApp without an operator", app)
         op = self.doc.deref(app.children[0])
         rule = self.table.expansions.get(op.attrs.meaning) if op.kind is TOK else None
         if rule is None:
@@ -242,7 +240,10 @@ class _Walk(BranchWalk):
                 f"{rule.meaning} expects {rule.arity} arguments, found {len(args)}",
                 app,
             )
-        return self._instantiate(rule.template, app, op, args, container)
+        try:
+            return self._instantiate(rule.template, app, op, args, container)
+        except RecursionError:
+            raise ConversionError("expansions nested too deeply", app) from None
 
     def _instantiate(
         self,

@@ -58,11 +58,7 @@ _OPPOSITE = (PRESENTATION, CONTENT)
 
 @dataclass(slots=True)
 class SemanticAttrs:
-    """Attributes with dedicated handling, plus a pass-through map.
-
-    Attributes outside the named set are preserved verbatim in ``extra``
-    so richer upstream markup survives a round trip.
-    """
+    """The eight XMath attributes the converter reads; the parser ignores others."""
 
     role: str | None = None
     meaning: str | None = None
@@ -72,7 +68,6 @@ class SemanticAttrs:
     mathstyle: str | None = None
     stretchy: bool | None = None
     scriptpos: str | None = None
-    extra: dict[str, str] = field(default_factory=dict)
 
 
 @dataclass(eq=False, slots=True)
@@ -162,15 +157,15 @@ class XMathDocument:
         self._ends.update(dict.fromkeys(seen, node))
         return node
 
-    def top_operator(self, dual: XMathNode, branch: Branch) -> XMathNode | None:
-        """Top-most operator applied within one branch of a dual.
+    def top_operator(self, dual: XMathNode) -> XMathNode | None:
+        """Top-most operator applied within the content branch of a dual.
 
         Refs are chased both for the branch root and for the operator
         position; a branch that is not an application has no operator.
         """
         if dual.kind is not DUAL:
             raise ValueError("top_operator expects an XMDual node")
-        root = self.deref(dual.children[branch])
+        root = self.deref(dual.children[CONTENT])
         if root.kind is not APP or not root.children:
             return None
         return self.deref(root.children[0])

@@ -232,10 +232,6 @@ def parse_xmath(text: str) -> XMathDocument:
                     sem.scriptpos = value
                 elif key == "stretchy" and value in ("true", "false"):
                     sem.stretchy = value == "true"
-                elif key != "xmlns" and not key.startswith("xmlns:"):
-                    # Unknown attributes (and malformed stretchy values)
-                    # pass through.
-                    sem.extra[key] = value
             node = XMathNode(
                 kind, [], "" if kind is TOK else None, sem, -1, line, col
             )

@@ -8,7 +8,6 @@ produced node carries its ascribed source so the linker can wire xrefs.
 from __future__ import annotations
 
 from .ascription import BranchWalk
-from .errors import MalformedApplyError
 from .glyphs import is_greek_capital, script_form
 from .mml import TargetNode
 from .model import APP, PRESENTATION, TOK, XMathDocument, XMathNode
@@ -95,8 +94,6 @@ class _Walk(BranchWalk):
         return self.target(TargetNode("mrow", {}, children), node, container, True)
 
     def apply(self, app: XMathNode, container: XMathNode | None) -> TargetNode:
-        if not app.children:
-            raise MalformedApplyError("XMApp without an operator", app)
         op_node = app.children[0]
         args = app.children[1:]
         op = self.doc.deref(op_node)

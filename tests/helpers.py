@@ -148,6 +148,31 @@ def bra_ket_chain(
     return "".join(terms)
 
 
+def dual_ref_chain(links: int) -> str:
+    """XMath for a chain of ``links`` single-ref duals: dual j applies f to
+    a ref to dual j - 1 in both branches, so each link nests one level and
+    the walks chase refs ``links`` deep. The duals are stored where no walk
+    reaches them directly, and both branches of the root lead to the last."""
+    store = ["<XMTok role='ID' xml:id='c0'>x</XMTok>"]
+    for j in range(1, links + 1):
+        ref = f"<XMRef idref='c{j - 1}'/>"
+        store.append(
+            f"<XMDual xml:id='c{j}'><XMApp><XMTok meaning='apply-f'/>{ref}</XMApp>"
+            f"<XMApp><XMTok role='FUNCTION'>f</XMTok>{ref}</XMApp></XMDual>"
+        )
+    top = f"<XMRef idref='c{links}'/>"
+    return f"<XMDual>{top}<XMDual><XMWrap>{''.join(store)}</XMWrap>{top}</XMDual></XMDual>"
+
+
+def nested_expansions(applications: int, depth: int) -> tuple[str, str]:
+    """An expansion table whose one template nests ``depth`` elements deep,
+    and XMath applying its meaning ``applications`` times, each inside the
+    one before."""
+    rule = "deep 1 " + "(a " * depth + "slot1" + ")" * depth + "\n"
+    app = "<XMApp><XMTok meaning='deep'/>"
+    return rule, app * applications + "<XMTok>x</XMTok>" + "</XMApp>" * applications
+
+
 def sum_of(*terms: str) -> str:
     """XMath for the sum of the given XMath terms."""
     return "<XMApp><XMTok role='ADDOP' meaning='plus'>+</XMTok>" + "".join(terms) + "</XMApp>"
@@ -286,7 +311,6 @@ def _xmath_attr_map(node: XMathNode) -> dict[str, str]:
             out[name] = value
     if s.stretchy is not None:
         out["stretchy"] = "true" if s.stretchy else "false"
-    out.update(s.extra)
     return dict(sorted(out.items()))
 
 

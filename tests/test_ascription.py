@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from xmathml import (
+    ConversionError,
     NodeKind,
     ReferenceCycleError,
     ascribe,
@@ -16,7 +17,7 @@ from xmathml import (
     parse_xmath,
     serialize_mathml,
 )
-from helpers import nearest_dual_ancestor, parse_mathml
+from helpers import dual_ref_chain, nearest_dual_ancestor, parse_mathml
 from treegen import random_document
 
 
@@ -209,3 +210,24 @@ def test_ref_chain_is_chased_in_one_step(monkeypatch):
     assert text.count(">x</mi>") == 2_001
     assert check_links(parse_mathml(text)).ok
 
+
+def test_dual_ref_chain_converts_and_checks_clean():
+    math = build_parallel(parse_xmath(dual_ref_chain(150)))
+    assert check_links(math).ok
+    text = serialize_mathml(math)
+    assert text.count(">f</mi>") == 150
+    assert check_links(parse_mathml(text)).ok
+
+
+@pytest.mark.parametrize("links", [300, 1_000])
+def test_dual_ref_chain_too_deep_is_located(links):
+    """Each link costs several frames of a walk; past the interpreter's
+    stack the error is typed and names a ref of the chain (which one
+    depends on the stack)."""
+    text = dual_ref_chain(links)
+    with pytest.raises(ConversionError) as excinfo:
+        build_parallel(parse_xmath(text))
+    error = excinfo.value
+    assert "refs nested too deeply to follow" in str(error)
+    assert error.line == 1
+    assert text.startswith("<XMRef", error.col - 1)

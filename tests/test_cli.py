@@ -6,7 +6,12 @@ import sys
 import pytest
 
 from xmathml.cli import main
-from helpers import assert_isomorphic, parse_mathml
+from helpers import (
+    assert_isomorphic,
+    dual_ref_chain,
+    nested_expansions,
+    parse_mathml,
+)
 
 
 def _run(capsys, *argv):
@@ -224,6 +229,33 @@ def test_deepest_input_output_passes_check(tmp_path, capsys):
     code, _, err = _run(capsys, too_deep)
     assert code == 2
     assert "element nesting deeper than 200" in err
+
+
+def _located_at(err, path, text, tag):
+    """The message is ``path: error: 1:col: ...`` with col at a ``tag``."""
+    assert err.startswith(f"{path}: error: 1:")
+    col = int(err.split(":")[3])
+    assert text.startswith(tag, col - 1)
+
+
+def test_refs_nested_too_deeply_exit_code(tmp_path, capsys):
+    text = dual_ref_chain(300)
+    source = _write(tmp_path, "chain.xml", text)
+    code, out, err = _run(capsys, source)
+    assert (code, out) == (2, "")
+    assert "refs nested too deeply to follow" in err
+    _located_at(err, source, text, "<XMRef")
+
+
+def test_expansions_nested_too_deeply_exit_code(tmp_path, capsys):
+    rule, text = nested_expansions(10, 150)
+    table = _write(tmp_path, "rules.txt", rule)
+    source = _write(tmp_path, "input.xml", text)
+    for mode in ("parallel", "cmml"):
+        code, out, err = _run(capsys, source, "--to", mode, "--expansions", table)
+        assert (code, out) == (2, "")
+        assert "expansions nested too deeply" in err
+        _located_at(err, source, text, "<XMApp")
 
 
 def test_output_file(tmp_path, capsys, sum_function_xmath):

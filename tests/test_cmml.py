@@ -17,11 +17,12 @@ from xmathml.cmml import KNOWN_CONTENT_ELEMENTS
 from xmathml.errors import (
     ArityMismatchError,
     ContentWrapError,
+    ConversionError,
     MalformedApplyError,
 )
 from xmathml.model import SemanticAttrs, XMathNode
 from xmathml.parser import MAX_NESTING_DEPTH
-from helpers import parse_mathml, same_shape
+from helpers import nested_expansions, parse_mathml, same_shape
 from treegen import random_document
 
 
@@ -204,6 +205,21 @@ def test_content_wrap_error_names_node():
 def test_empty_app_raises():
     with pytest.raises(MalformedApplyError):
         _content_tree(parse_xmath("<XMApp/>"))
+
+
+def test_nested_expansions_too_deep_are_located():
+    """Two nested applications of a 150-deep template convert; ten pass
+    the interpreter's stack and raise a typed error at one of them."""
+    rule, text = nested_expansions(2, 150)
+    table = MeaningTable.default().extended(load_expansion_table(rule))
+    assert _content_tree(parse_xmath(text), table).element == "a"
+    _, text = nested_expansions(10, 150)
+    with pytest.raises(ConversionError) as excinfo:
+        _content_tree(parse_xmath(text), table)
+    error = excinfo.value
+    assert "expansions nested too deeply" in str(error)
+    assert error.line == 1
+    assert text.startswith("<XMApp", error.col - 1)
 
 
 def test_table_loader_roundtrip():

@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from xmathml import (
-    Branch,
     NodeKind,
     ParseError,
     ParseErrorKind,
@@ -115,7 +114,7 @@ def test_nearest_dual_ancestor_inner_dual(quantum_doc):
 def test_top_operator_quantum(quantum_doc):
     doc = quantum_doc
     outer_dual = _first_dual(doc)
-    operator = doc.top_operator(outer_dual, Branch.CONTENT)
+    operator = doc.top_operator(outer_dual)
     assert operator is not None
     assert operator.attrs.meaning == "quantum-operator-product"
 
@@ -124,26 +123,22 @@ def test_top_operator_defint(quantum_doc):
     doc = quantum_doc
     duals = [n for n in doc.nodes if n.kind is NodeKind.DUAL]
     defint_dual = duals[1]
-    operator = doc.top_operator(defint_dual, Branch.CONTENT)
+    operator = doc.top_operator(defint_dual)
     assert operator.attrs.meaning == "hack-definite-integral"
-    # Presentation side: the operator position holds a nested application.
-    pres_op = doc.top_operator(defint_dual, Branch.PRESENTATION)
-    assert pres_op.kind is NodeKind.APP
 
 
 def test_top_operator_bare_token_branch():
     doc = parse_xmath(
         "<XMDual><XMTok meaning='plus'/><XMTok role='ADDOP'>+</XMTok></XMDual>"
     )
-    assert doc.top_operator(doc.root, Branch.CONTENT) is None
-    assert doc.top_operator(doc.root, Branch.PRESENTATION) is None
+    assert doc.top_operator(doc.root) is None
 
 
 def test_top_operator_resolves_refs(sum_function_doc):
     doc = sum_function_doc
     dual = _first_dual(doc)
     # Content branch operator slot holds a ref; it resolves to F.
-    assert doc.top_operator(dual, Branch.CONTENT).text == "F"
+    assert doc.top_operator(dual).text == "F"
 
 
 @given(seed=st.integers(0, 2**32 - 1))
@@ -180,6 +175,5 @@ def test_navigation_does_not_mutate(quantum_doc):
         if node.kind is NodeKind.REF:
             doc.resolve_ref(node)
         if node.kind is NodeKind.DUAL:
-            doc.top_operator(node, Branch.CONTENT)
-            doc.top_operator(node, Branch.PRESENTATION)
+            doc.top_operator(node)
     assert serialize_xmath(doc) == before

@@ -12,6 +12,7 @@ from xmathml import (
     NodeKind,
     ParseError,
     ParseErrorKind,
+    SemanticAttrs,
     parse_xmath,
     read_xml_tree,
 )
@@ -160,9 +161,9 @@ def test_named_entities_resolved():
     assert doc.root.text == "∫"
 
 
-def test_unknown_attributes_pass_through():
-    doc = parse_xmath('<XMTok color="red" role="ID">a</XMTok>')
-    assert doc.root.attrs.extra == {"color": "red"}
+def test_unknown_attributes_are_ignored():
+    doc = parse_xmath('<XMTok color="red" role="ID" stretchy="maybe">a</XMTok>')
+    assert doc.root.attrs == SemanticAttrs(role="ID")
     assert structurally_equal(parse_xmath(serialize_xmath(doc)).root, doc.root)
 
 
@@ -310,8 +311,8 @@ def test_earlier_entities_read_the_same():
     for name, char in EARLIER_ENTITIES.items():
         mi = read_xml_tree(f'<mi a="&{name};">&{name};</mi>')
         assert (mi.text, mi.attrs["a"]) == (char, char), name
-        tok = parse_xmath(f'<XMTok a="&{name};">&{name};</XMTok>').root
-        assert (tok.text, tok.attrs.extra["a"]) == (char, char), name
+        tok = parse_xmath(f'<XMTok meaning="&{name};">&{name};</XMTok>').root
+        assert (tok.text, tok.attrs.meaning) == (char, char), name
 
 
 def test_standard_entities_are_resolved():
