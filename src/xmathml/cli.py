@@ -22,8 +22,15 @@ def _read_input(path: str) -> str:
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
+        # The bytes before the first bad one decode; count columns in them,
+        # and lines as XML does (CR LF and a lone CR each end one).
+        head = data[: exc.start].replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        line = head[head.rfind(b"\n") + 1 :].decode("utf-8")
         raise ParseError(
-            ParseErrorKind.MALFORMED_XML, 0, 0, f"input is not UTF-8: {exc}"
+            ParseErrorKind.MALFORMED_XML,
+            head.count(b"\n") + 1,
+            len(line) + 1,
+            f"input is not UTF-8: {exc}",
         ) from None
 
 

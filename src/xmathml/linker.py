@@ -292,27 +292,31 @@ def _locate_branches(math: TargetNode) -> tuple[TargetNode, TargetNode]:
 def check_links(math: TargetNode) -> LinkReport:
     """Validate the cross-referencing contract of an assembled math element.
 
-    Checks id uniqueness, xref resolution within the element, shared-source
-    consistency, completeness, and first-in-document-order minimality.
-    Freshly generated trees are checked against their recorded sources;
-    re-parsed documents fall back to reconstructing source classes from
-    the id scheme (base + letter suffix, content ids ending in .cmml).
+    Finds repeated ids (``id-uniqueness``), side nodes without an id
+    (``id-missing``), xrefs on wrappers (``wrapper-xref``), missing xrefs
+    (``missing-xref``), xrefs naming no id (``xref-resolution``) or an id
+    carried only on the same side or by a wrapper (``xref-branch``), and
+    xref targets of another source class (``shared-source``) or not the
+    class's first node in the opposite tree (``document-order``). An xref
+    resolves to the first node carrying its id in the opposite tree.
+    Freshly generated trees are classed by their recorded sources;
+    re-parsed documents by the id scheme (base + letter suffix, content
+    ids ending in .cmml), which misclasses letter-ending input ids.
     """
     report = LinkReport()
     presentation, content = _locate_branches(math)
 
     # One walk in document order: the first node carrying each id, the
-    # side carrying it (content if both do), and every node sorted into
-    # the presentation side, the content side or the wrappers around them.
+    # first carrying it on each side, and every node sorted into the
+    # presentation side, the content side or the wrappers around them.
     all_ids: dict[str, TargetNode] = {}
-    branch_of: dict[str, Branch] = {}
+    side_ids: dict[Branch, dict[str, TargetNode]] = {PRESENTATION: {}, CONTENT: {}}
     sides: dict[Branch, list[TargetNode]] = {PRESENTATION: [], CONTENT: []}
     wrappers: list[TargetNode] = []
 
     def walk_side(root: TargetNode, branch: Branch) -> None:
         bucket = sides[branch]
-        # Content claims an id both sides carry, whichever comes first.
-        mark = branch_of.__setitem__ if branch is CONTENT else branch_of.setdefault
+        first_on_side = side_ids[branch].setdefault
         stack = [root]
         while stack:
             node = stack.pop()
@@ -321,7 +325,7 @@ def check_links(math: TargetNode) -> LinkReport:
             if node_id is not None:
                 if all_ids.setdefault(node_id, node) is not node:
                     report.add("id-uniqueness", _DUPLICATE.format(node_id))
-                mark(node_id, branch)
+                first_on_side(node_id, node)
             if node.children:
                 stack.extend(reversed(node.children))
 
@@ -339,24 +343,7 @@ def check_links(math: TargetNode) -> LinkReport:
                 report.add("id-uniqueness", _DUPLICATE.format(node_id))
             stack.extend(reversed(node.children))
     unique = not report.violations  # only id-uniqueness is reported so far
-
     use_sources = all(None not in map(_SOURCE, nodes) for nodes in sides.values())
-    # Wrappers carry no source. When a side node shares a wrapper's id and
-    # an xref from the other side names it, that xref reaches the wrapper:
-    # classify by ids throughout then, as for a re-parsed tree.
-    clashes = {
-        node_id
-        for node in wrappers
-        if (node_id := node.attrs.get("id")) in branch_of and all_ids[node_id] is node
-    }
-    if use_sources and clashes:
-        use_sources = not any(
-            "id" in node.attrs
-            and (xref := node.attrs.get("xref")) in clashes
-            and branch_of[xref] is not branch
-            for branch, nodes in sides.items()
-            for node in nodes
-        )
 
     def classify(nodes: list[TargetNode], branch: Branch) -> tuple[dict, dict]:
         """Each id-carrying node's source class, and each class's first id."""
@@ -390,8 +377,8 @@ def check_links(math: TargetNode) -> LinkReport:
             report.add("wrapper-xref", f"wrapper {node.element} must not carry xref")
 
     for branch, (class_of, _) in classified.items():
-        opposite = branch.opposite
-        opposite_classes, opposite_firsts = classified[opposite]
+        opposite_classes, opposite_firsts = classified[branch.opposite]
+        opposite_ids = side_ids[branch.opposite]
         for node, cls in class_of.items():
             xref = node.attrs.get("xref")
             opposite_first = opposite_firsts.get(cls)
@@ -400,29 +387,22 @@ def check_links(math: TargetNode) -> LinkReport:
             if xref == opposite_first and unique:
                 continue
             node_id = node.attrs["id"]
-            target = all_ids.get(xref)
             if xref is None:
                 if opposite_first is not None:
                     report.add(
                         "missing-xref",
                         f"{node_id} has opposite-branch targets but no xref",
                     )
-            elif target is None:
+            elif xref not in all_ids:
                 report.add(
                     "xref-resolution",
                     f"{node_id} points at {xref!r}, which does not exist",
                 )
-            elif branch_of.get(xref) is not opposite:
+            elif (target := opposite_ids.get(xref)) is None:
                 report.add(
                     "xref-branch", f"{node_id} points at {xref!r} in the same branch"
                 )
-            # With duplicate ids the first node carrying xref need not be
-            # on the opposite side; its class is then worked out here.
-            elif cls != (
-                opposite_classes[target]
-                if target in opposite_classes
-                else classify([target], opposite)[0][target]
-            ):
+            elif cls != opposite_classes[target]:
                 report.add(
                     "shared-source",
                     f"{node_id} and its xref target {xref} have different sources",

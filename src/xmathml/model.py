@@ -108,7 +108,22 @@ class XMathDocument:
         self.nodes: list[XMathNode] = []
         self.id_index: dict[str, XMathNode] = {}
         self._ends: dict[int, XMathNode] = {}  # ref index -> deref result
-        self._index(root)
+        stack = [root]  # pre-order, without a frame per level
+        while stack:
+            node = stack.pop()
+            node.index = len(self.nodes)
+            self.nodes.append(node)
+            xml_id = node.attrs.xml_id
+            if xml_id is not None:
+                if xml_id in self.id_index:
+                    raise ParseError(
+                        ParseErrorKind.DUPLICATE_ID,
+                        node.line,
+                        node.col,
+                        f"duplicate xml:id {xml_id!r}",
+                    )
+                self.id_index[xml_id] = node
+            stack.extend(reversed(node.children))
         for node in self.nodes:
             idref = node.attrs.idref
             if idref is not None and idref not in self.id_index:
@@ -118,22 +133,6 @@ class XMathDocument:
                     node.col,
                     f"idref {idref!r} does not match any xml:id",
                 )
-
-    def _index(self, node: XMathNode) -> None:
-        node.index = len(self.nodes)
-        self.nodes.append(node)
-        xml_id = node.attrs.xml_id
-        if xml_id is not None:
-            if xml_id in self.id_index:
-                raise ParseError(
-                    ParseErrorKind.DUPLICATE_ID,
-                    node.line,
-                    node.col,
-                    f"duplicate xml:id {xml_id!r}",
-                )
-            self.id_index[xml_id] = node
-        for child in node.children:
-            self._index(child)
 
     def resolve_ref(self, ref_node: XMathNode) -> XMathNode:
         """Resolve an XMRef one step, to the node carrying its idref as xml:id."""

@@ -110,6 +110,25 @@ def test_parse_error_exit_code_and_location(tmp_path, capsys):
     assert parts[1].isdigit() and parts[2].isdigit()
 
 
+@pytest.mark.parametrize(
+    "newline, second_line, col",
+    [
+        (b"\n", b"  <XMTok>caf\xe9</XMTok>", 13),
+        (b"\r", b"  <XMTok>caf\xe9</XMTok>", 13),
+        (b"\r\n", "<XMTok>αβγ".encode() + b"\xe9", 11),
+    ],
+)
+def test_non_utf8_input_is_located(tmp_path, capsys, newline, second_line, col):
+    """The column counts the characters before the bad byte, as written,
+    and lines end as in XML."""
+    path = tmp_path / "bad.xml"
+    path.write_bytes(b"<XMApp>" + newline + second_line + newline + b"</XMApp>")
+    code, out, err = _run(capsys, str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"{path}:2:{col}: error: input is not UTF-8: ")
+
+
 def test_content_error_exit_code(tmp_path, capsys):
     path = _write(tmp_path, "wrap.xml", "<XMWrap><XMTok>x</XMTok></XMWrap>")
     code, _, err = _run(capsys, path, "--to", "parallel")

@@ -282,8 +282,8 @@ def test_check_links_dangling_xref(sum_function_doc):
 
 
 def test_check_links_duplicate_id_report(sum_function_doc):
-    """With a duplicated id, an xref resolves to the first node carrying it,
-    whose class is taken on the branch the id was last seen in."""
+    """With a duplicated id, an xref resolves to the first node carrying
+    it in the opposite tree."""
     math = parse_mathml(serialize_mathml(build_parallel(sum_function_doc)))
     victim = next(n for n in math.iter() if n.attrs.get("id") == "m1.6")
     victim.attrs["id"] = "m1.5.cmml"
@@ -295,18 +295,35 @@ def test_check_links_duplicate_id_report(sum_function_doc):
 
 
 def test_check_links_xref_to_wrapper_id_in_memory(sum_function_doc):
-    """An xref naming an id that a wrapper also carries is reported in
-    memory exactly as after serialize and re-parse."""
+    """An xref naming an id that a wrapper also carries resolves to the
+    node carrying it in the opposite tree, never to the wrapper. In memory
+    the pair shares one recorded source; re-parsed, the id spelling
+    classes them apart."""
     math = build_parallel(sum_function_doc)
     next(n for n in math.iter() if n.attrs.get("id") == "m1.5.cmml").attrs["id"] = "m1"
     next(n for n in math.iter() if n.attrs.get("id") == "m1.5").attrs["xref"] = "m1"
-    reparsed = check_links(parse_mathml(serialize_mathml(math))).lines()
-    assert reparsed == [
+    assert check_links(math).lines() == ["id-uniqueness: id 'm1' appears more than once"]
+    assert check_links(parse_mathml(serialize_mathml(math))).lines() == [
         "id-uniqueness: id 'm1' appears more than once",
         "shared-source: m1.5 and its xref target m1 have different sources",
         "shared-source: m1 and its xref target m1.5 have different sources",
     ]
-    assert check_links(math).lines() == reparsed
+
+
+def test_check_links_xref_resolves_on_the_opposite_side(sum_function_doc):
+    """A content id copying a presentation id does not make the content
+    xrefs naming that presentation node point into their own branch."""
+    math = build_parallel(sum_function_doc)
+    next(n for n in math.iter() if n.attrs.get("id") == "m1.2.cmml").attrs["id"] = "m1.1"
+    in_memory = [
+        "id-uniqueness: id 'm1.1' appears more than once",
+        "xref-resolution: m1.2 points at 'm1.2.cmml', which does not exist",
+    ]
+    assert check_links(math).lines() == in_memory
+    assert check_links(parse_mathml(serialize_mathml(math))).lines() == [
+        *in_memory,
+        "shared-source: m1.1 and its xref target m1.2 have different sources",
+    ]
 
 
 def test_check_links_on_published_example(sum_function_mathml):
@@ -401,11 +418,10 @@ def _mutate(math, rng) -> None:
             node.attrs["id"] = "p1psi"
 
 
-#: SHA-256 over the report lines of _check_reports(), recorded at
-#: the commit before the check path's reader, target_from_raw and
-#: check_links were made cheaper.
+#: SHA-256 over the report lines of _check_reports(), recorded when
+#: check_links began resolving each xref in the opposite tree only.
 CHECK_REPORTS_DIGEST = (
-    "c740e8f07390d31e89426f62cfb08b545dbad73fb9d715580e919c0a2cef4714"
+    "02c93eaccf5fadebc1b973826a812464ca12fd02116406092dca4050b4f96594"
 )
 
 

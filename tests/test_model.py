@@ -85,6 +85,20 @@ def test_hand_built_document_is_validated(second, kind, detail):
     assert detail in excinfo.value.detail
 
 
+def test_hand_built_deep_document_is_indexed():
+    """Indexing takes no interpreter frame per level."""
+    node = root = XMathNode(NodeKind.APP)
+    for _ in range(4999):
+        child = XMathNode(NodeKind.APP)
+        node.children.append(child)
+        node = child
+    node.children.append(_tok("x", 1, 1, xml_id="x"))
+    doc = XMathDocument(root)
+    assert len(doc.nodes) == 5001
+    assert all(doc.nodes[i].index == i for i in range(5001))
+    assert doc.nodes[0] is root and doc.id_index == {"x": doc.nodes[-1]}
+
+
 def test_nearest_dual_ancestor_paren(sum_function_doc):
     doc = sum_function_doc
     dual = _first_dual(doc)
