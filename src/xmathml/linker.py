@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from operator import attrgetter
 
 from .errors import IdCollisionError
 from .mml import TargetNode
@@ -22,7 +21,6 @@ from .model import CONTENT, PRESENTATION, Branch, XMathDocument
 CONTENT_ID_SUFFIX = ".cmml"
 
 _BRANCH_ORDER = (PRESENTATION, CONTENT)
-_SOURCE = attrgetter("source")
 _DUPLICATE = "id {!r} appears more than once"
 _LOWERCASE = "abcdefghijklmnopqrstuvwxyz"  # importing string costs ~1.5 ms
 
@@ -299,9 +297,16 @@ def check_links(math: TargetNode) -> LinkReport:
     xref targets of another source class (``shared-source``) or not the
     class's first node in the opposite tree (``document-order``). An xref
     resolves to the first node carrying its id in the opposite tree.
-    Freshly generated trees are classed by their recorded sources;
-    re-parsed documents by the id scheme (base + letter suffix, content
-    ids ending in .cmml), which misclasses letter-ending input ids.
+
+    Classes come from ids and xrefs alone, so a tree reads the same in
+    memory and re-parsed. Valid output is a star around each class's
+    first content node, its anchor: presentation xrefs name the anchor,
+    content xrefs name a presentation node whose xref names it. A node
+    whose id (less .cmml on the content side) is the anchor's id (less
+    .cmml) plus zero or more a-z joins the anchor's class; any other
+    node is classed by its id less trailing a-z. So a presentation-only
+    or content-only node whose input id extends a linked base by letters
+    reads as a copy that lost its xref.
     """
     report = LinkReport()
     presentation, content = _locate_branches(math)
@@ -343,29 +348,34 @@ def check_links(math: TargetNode) -> LinkReport:
                 report.add("id-uniqueness", _DUPLICATE.format(node_id))
             stack.extend(reversed(node.children))
     unique = not report.violations  # only id-uniqueness is reported so far
-    use_sources = all(None not in map(_SOURCE, nodes) for nodes in sides.values())
+    content_ids = side_ids[CONTENT]
+    presentation_ids = side_ids[PRESENTATION]
+    bases: dict[str, str] = {}  # anchor id -> its id less .cmml
 
     def classify(nodes: list[TargetNode], branch: Branch) -> tuple[dict, dict]:
-        """Each id-carrying node's source class, and each class's first id."""
+        """Each id-carrying node's class, and each class's first id."""
         class_of, first_of = {}, {}
-        strip_suffix = branch is CONTENT
+        on_content = branch is CONTENT
         for node in nodes:
-            node_id = node.attrs.get("id")
+            attrs = node.attrs
+            node_id = attrs.get("id")
             if node_id is None:
                 report.add("id-missing", f"{node.element} node carries no id")
                 continue
-            if use_sources:
-                cls = node.source.index
+            cls = node_id.removesuffix(CONTENT_ID_SUFFIX) if on_content else node_id
+            anchor = attrs.get("xref")
+            if on_content and anchor is not None:
+                target = presentation_ids.get(anchor)
+                anchor = None if target is None else target.attrs.get("xref")
+            base = bases.get(anchor)
+            if base is None and anchor in content_ids:
+                base = bases[anchor] = anchor.removesuffix(CONTENT_ID_SUFFIX)
+            if base is not None and (
+                cls == base or cls.startswith(base) and not cls[len(base) :].strip(_LOWERCASE)
+            ):
+                cls = base
             else:
-                cls = node_id
-                if strip_suffix and cls.endswith(CONTENT_ID_SUFFIX):
-                    cls = cls[: -len(CONTENT_ID_SUFFIX)]
-                # Then the final run of a-z, unless nothing or another lowercase
-                # letter precedes it; past a final newline, none in the base.
-                core = cls[:-1] if cls[-1:] == "\n" else cls
-                base = core.rstrip(_LOWERCASE)
-                if base != core and base and not (base[-1].islower() or "\n" in base):
-                    cls = base
+                cls = cls.rstrip(_LOWERCASE) or cls
             class_of[node] = cls
             first_of.setdefault(cls, node_id)
         return class_of, first_of
@@ -399,9 +409,8 @@ def check_links(math: TargetNode) -> LinkReport:
                     f"{node_id} points at {xref!r}, which does not exist",
                 )
             elif (target := opposite_ids.get(xref)) is None:
-                report.add(
-                    "xref-branch", f"{node_id} points at {xref!r} in the same branch"
-                )
+                where = "in the same branch" if xref in side_ids[branch] else "on a wrapper"
+                report.add("xref-branch", f"{node_id} points at {xref!r} {where}")
             elif cls != opposite_classes[target]:
                 report.add(
                     "shared-source",

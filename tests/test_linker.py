@@ -296,18 +296,18 @@ def test_check_links_duplicate_id_report(sum_function_doc):
 
 def test_check_links_xref_to_wrapper_id_in_memory(sum_function_doc):
     """An xref naming an id that a wrapper also carries resolves to the
-    node carrying it in the opposite tree, never to the wrapper. In memory
-    the pair shares one recorded source; re-parsed, the id spelling
-    classes them apart."""
+    node carrying it in the opposite tree, never to the wrapper; in memory
+    and re-parsed alike, the renamed content node leaves m1.5's class."""
     math = build_parallel(sum_function_doc)
     next(n for n in math.iter() if n.attrs.get("id") == "m1.5.cmml").attrs["id"] = "m1"
     next(n for n in math.iter() if n.attrs.get("id") == "m1.5").attrs["xref"] = "m1"
-    assert check_links(math).lines() == ["id-uniqueness: id 'm1' appears more than once"]
-    assert check_links(parse_mathml(serialize_mathml(math))).lines() == [
+    expected = [
         "id-uniqueness: id 'm1' appears more than once",
         "shared-source: m1.5 and its xref target m1 have different sources",
         "shared-source: m1 and its xref target m1.5 have different sources",
     ]
+    assert check_links(math).lines() == expected
+    assert check_links(parse_mathml(serialize_mathml(math))).lines() == expected
 
 
 def test_check_links_xref_resolves_on_the_opposite_side(sum_function_doc):
@@ -315,15 +315,21 @@ def test_check_links_xref_resolves_on_the_opposite_side(sum_function_doc):
     xrefs naming that presentation node point into their own branch."""
     math = build_parallel(sum_function_doc)
     next(n for n in math.iter() if n.attrs.get("id") == "m1.2.cmml").attrs["id"] = "m1.1"
-    in_memory = [
+    expected = [
         "id-uniqueness: id 'm1.1' appears more than once",
         "xref-resolution: m1.2 points at 'm1.2.cmml', which does not exist",
-    ]
-    assert check_links(math).lines() == in_memory
-    assert check_links(parse_mathml(serialize_mathml(math))).lines() == [
-        *in_memory,
         "shared-source: m1.1 and its xref target m1.2 have different sources",
     ]
+    assert check_links(math).lines() == expected
+    assert check_links(parse_mathml(serialize_mathml(math))).lines() == expected
+
+
+def test_check_links_xref_to_wrapper_id_names_the_wrapper(sum_function_doc):
+    """An xref naming only a wrapper's id is an xref-branch finding whose
+    message says so, rather than claiming the id is on the same side."""
+    math = build_parallel(sum_function_doc)
+    next(n for n in math.iter() if n.attrs.get("id") == "m1.5").attrs["xref"] = "m1a"
+    assert check_links(math).lines() == ["xref-branch: m1.5 points at 'm1a' on a wrapper"]
 
 
 def test_check_links_on_published_example(sum_function_mathml):
@@ -419,9 +425,10 @@ def _mutate(math, rng) -> None:
 
 
 #: SHA-256 over the report lines of _check_reports(), recorded when
-#: check_links began resolving each xref in the opposite tree only.
+#: check_links began classing nodes by the xref star on both paths and
+#: naming wrapper ids in xref-branch messages.
 CHECK_REPORTS_DIGEST = (
-    "02c93eaccf5fadebc1b973826a812464ca12fd02116406092dca4050b4f96594"
+    "d17629319caa354ed5ca6c6ca33701904e599147af04e03bd118445f3e3b6d11"
 )
 
 
@@ -501,6 +508,58 @@ _ID_SHAPES = (
     "<XMApp><XMTok xml:id='m1.5'>f</XMTok><XMTok xml:id='m1'>x</XMTok></XMApp>",
     "<XMApp><XMTok xml:id='q.1'>f</XMTok><XMTok>x</XMTok><XMTok xml:id='qc'>y</XMTok></XMApp>",
 )
+
+
+def _converted(texts):
+    """The assembled math element of every text that converts."""
+    for text in texts:
+        try:
+            yield build_parallel(parse_xmath(text))
+        except IdCollisionError:
+            pass
+
+
+def test_check_agrees_in_memory_and_reparsed(sum_function_xmath, quantum_xmath):
+    """One class rule serves both paths: each tree, clean and mutated,
+    gets the same report in memory as re-parsed from every serialize mode."""
+    rng = random.Random(20261019)
+    trees = [
+        build_parallel(parse_xmath(sum_function_xmath), tex="a+F(a,b)"),
+        build_parallel(parse_xmath(quantum_xmath), tex="..."),
+    ]
+    trees += [build_parallel(doc, tex="t") for doc in make_corpus(200, seed=20261019)]
+    trees += _converted(_ID_SHAPES)
+    compared = 0
+    for math in trees:
+        saved = [(node, dict(node.attrs)) for node in math.iter()]
+        for mutations in range(3):
+            if mutations:
+                _mutate(math, rng)
+            lines = check_links(math).lines()
+            for opts in _REPARSE_MODES:
+                reparsed = parse_mathml(serialize_mathml(math, opts))
+                assert check_links(reparsed).lines() == lines
+                compared += 1
+            for node, attrs in saved:
+                node.attrs = dict(attrs)
+    assert compared == 12 * len(trees) == 12 * 212
+
+
+def test_own_output_of_letter_ending_ids_checks_clean():
+    """The id shapes that convert, and ids made only of lowercase letters
+    reached twice (x beside xa, t), check clean in memory and re-parsed."""
+    texts = _ID_SHAPES + (
+        "<XMApp><XMTok role='ADDOP' meaning='plus'/><XMTok xml:id='x'>x</XMTok>"
+        "<XMRef idref='x'/><XMTok xml:id='xa'>y</XMTok></XMApp>",
+        "<XMApp><XMTok role='ADDOP' meaning='plus'>+</XMTok><XMRef idref='t'/>"
+        "<XMTok xml:id='t'>y</XMTok></XMApp>",
+    )
+    trees = list(_converted(texts))
+    assert len(trees) == 12
+    for math in trees:
+        assert check_links(math).lines() == []
+        for opts in _REPARSE_MODES:
+            assert check_links(parse_mathml(serialize_mathml(math, opts))).lines() == []
 
 
 def _allocation_record(build) -> str:
