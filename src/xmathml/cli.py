@@ -10,7 +10,6 @@ from .cmml import MeaningTable, load_expansion_table
 from .convert import build_content, build_parallel, build_presentation
 from .errors import ConversionError, ParseError, ParseErrorKind
 from .linker import check_links
-from .mml import target_from_raw
 from .parser import parse_xmath, read_xml_tree
 from .serializer import EntityMode, SerializeOptions, serialize_mathml
 
@@ -58,7 +57,7 @@ def run(args: argparse.Namespace) -> int:
     try:
         text = _read_input(args.input)
         if args.mode == "check":
-            math = target_from_raw(read_xml_tree(text))
+            math = read_xml_tree(text)
             report = check_links(math)
             for line in report.lines():
                 print(line)

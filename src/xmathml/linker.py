@@ -151,7 +151,8 @@ def assign_ids(registry: AscriptionRegistry, scheme: IdScheme) -> None:
                 bases[index] = base
             node_id = base + suffix
             if node_id in issued:
-                raise IdCollisionError(f"output id {node_id!r} allocated twice")
+                message = f"output id {node_id!r} allocated twice"
+                raise IdCollisionError(message, nodes[0].source)
             nodes[0].attrs["id"] = node_id
             add(node_id)
             if len(nodes) > 1:
@@ -181,10 +182,15 @@ def link_xrefs(registry: AscriptionRegistry) -> None:
                     node.attrs["xref"] = first_id
 
 
-def _wrapper_id(scheme: IdScheme, letter: str = "") -> str:
+def _wrapper_id(scheme: IdScheme, trees: tuple, letter: str = "") -> str:
     wrapper_id = scheme.prefix + letter
     if wrapper_id in scheme.issued:
-        raise IdCollisionError(f"wrapper id {wrapper_id!r} collides with a node id")
+        # Refused: located at the source of the node that carries the id.
+        stack = list(trees)
+        while stack and stack[-1].attrs.get("id") != wrapper_id:
+            stack += stack.pop().children
+        message = f"wrapper id {wrapper_id!r} collides with a node id"
+        raise IdCollisionError(message, stack[-1].source if stack else None)
     return wrapper_id
 
 
@@ -202,17 +208,18 @@ def assemble_parallel(
     which must not be among ``scheme.issued``, and never carry xrefs. The
     TeX annotation (and alttext) appear only when tex is given.
     """
-    math_attrs: dict[str, str] = {"id": _wrapper_id(scheme)}
+    trees = (pmml, cmml)
+    math_attrs: dict[str, str] = {"id": _wrapper_id(scheme, trees)}
     if display is not None:
         math_attrs["display"] = display
     if tex is not None:
         math_attrs["alttext"] = tex
     math_attrs["class"] = "ltx_Math"
 
-    semantics = TargetNode("semantics", {"id": _wrapper_id(scheme, "a")}, [pmml])
+    semantics = TargetNode("semantics", {"id": _wrapper_id(scheme, trees, "a")}, [pmml])
     annotation_xml = TargetNode(
         "annotation-xml",
-        {"id": _wrapper_id(scheme, "b"), "encoding": "MathML-Content"},
+        {"id": _wrapper_id(scheme, trees, "b"), "encoding": "MathML-Content"},
         [cmml],
     )
     semantics.children.append(annotation_xml)
@@ -220,7 +227,7 @@ def assemble_parallel(
         semantics.children.append(
             TargetNode(
                 "annotation",
-                {"id": _wrapper_id(scheme, "c"), "encoding": "application/x-tex"},
+                {"id": _wrapper_id(scheme, trees, "c"), "encoding": "application/x-tex"},
                 text=tex,
             )
         )
@@ -234,7 +241,7 @@ def assemble_single(
     scheme: IdScheme,
 ) -> TargetNode:
     """Wrap a single-branch tree (ids, no xrefs) into a bare math element."""
-    attrs: dict[str, str] = {"id": _wrapper_id(scheme)}
+    attrs: dict[str, str] = {"id": _wrapper_id(scheme, (root,))}
     if display is not None:
         attrs["display"] = display
     attrs["class"] = "ltx_Math"

@@ -1,9 +1,9 @@
-"""Parsing of XMath XML.
+"""Parsing of XMath XML, and re-reading of MathML for the link checker.
 
-The reader is built directly on expat so that every diagnostic carries a
-line/column, and it is shared with the MathML re-reader used by the link
-checker. Element names are accepted with or without a namespace prefix;
-the local name decides the node kind.
+Both readers are built directly on expat, so that every diagnostic carries
+a line/column, and both build their nodes in the expat callbacks, in one
+pass over the text. Element names are accepted with or without a
+namespace prefix; the local name decides the node kind.
 """
 
 from __future__ import annotations
@@ -11,10 +11,10 @@ from __future__ import annotations
 import re
 import xml.parsers.expat
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from html.entities import html5
 
 from .errors import ParseError, ParseErrorKind
+from .mml import TargetNode
 from .model import ELEMENT_KINDS, NodeKind, SemanticAttrs, XMathDocument, XMathNode
 
 #: Wrapper elements tolerated around the actual XMath root.
@@ -40,18 +40,6 @@ _LINE_BREAK = re.compile(r"\r\n?|\n")  # what expat counts as a new line
 MAX_NESTING_DEPTH = 200
 MATHML_NESTING_DEPTH = MAX_NESTING_DEPTH + 3  # math, semantics, annotation-xml
 _TOO_DEEP = "element nesting deeper than {}"
-
-
-@dataclass(eq=False, slots=True)
-class RawElement:
-    """Generic parsed XML element with source positions."""
-
-    name: str
-    attrs: dict[str, str]
-    children: list["RawElement"] = field(default_factory=list)
-    text: str = ""
-    line: int = 0
-    col: int = 0
 
 
 def _located(parser, detail: str) -> ParseError:
@@ -90,19 +78,19 @@ def _source_col(shifts: dict, line: int, col: int) -> int:
     return col + totals[before - 1] if before else col
 
 
-def _read(parser, text: str, start, end, chars, roots: list) -> dict:
+def _read(parser, text: str, start, end, chars) -> dict:
     """Run a fresh expat ``parser`` over ``text`` with the reader's checks.
 
     The handlers are installed directly, one Python frame per event; each
     reads the parser's position only when it needs one, and ``start``
-    refuses nesting beyond the reader's depth limit (``_TOO_DEEP``). Text
-    arrives buffered, known named character entities are substituted up
-    front (expat knows only the five XML built-ins), and document type
-    declarations are refused. Every refusal is a located MALFORMED_XML.
+    refuses nesting beyond the reader's depth limit (``_TOO_DEEP``). Known
+    named character entities are substituted up front (expat knows only
+    the five XML built-ins), and document type declarations are refused.
+    Every refusal is a located MALFORMED_XML.
 
-    Columns are given in the text as written: errors here and the nodes
-    under ``roots`` are moved back past substituted entities, and the
-    returned shifts (empty for a text without ``&``) serve ``_source_col``.
+    Columns are given in the text as written: errors here are moved back
+    past substituted entities, and the returned shifts (empty for a text
+    without ``&``) let the caller do the same with ``_source_col``.
     """
 
     def doctype(*_args) -> None:
@@ -110,7 +98,6 @@ def _read(parser, text: str, start, end, chars, roots: list) -> dict:
         # never carry them.
         raise _located(parser, "document type declarations are not supported")
 
-    parser.buffer_text = True
     parser.StartElementHandler = start
     parser.EndElementHandler = end
     parser.CharacterDataHandler = chars
@@ -126,11 +113,6 @@ def _read(parser, text: str, start, end, chars, roots: list) -> dict:
     except ParseError as exc:  # raised by a handler
         line, col, detail = exc.line, exc.col, exc.detail
     else:
-        nodes = list(roots) if shifts else []
-        while nodes:
-            node = nodes.pop()
-            node.col = _source_col(shifts, node.line, node.col)
-            nodes.extend(node.children)
         return shifts
     finally:
         # The handlers close over the parser; unset, the parser and all
@@ -141,32 +123,39 @@ def _read(parser, text: str, start, end, chars, roots: list) -> dict:
     raise ParseError(ParseErrorKind.MALFORMED_XML, line, col, detail) from None
 
 
-def read_xml_tree(text: str) -> RawElement:
-    """Parse XML text into a RawElement tree.
-
-    Raises ParseError(MALFORMED_XML) on any well-formedness problem.
-    """
+def read_xml_tree(text: str) -> TargetNode:
+    """Parse MathML into a TargetNode tree in the expat callbacks: local
+    names, no xmlns attributes, ``xml:`` stripped, text on leaves only.
+    Raises ParseError(MALFORMED_XML) on any well-formedness problem."""
     parser = xml.parsers.expat.ParserCreate()
+    parser.buffer_text = True  # no text is located: take it in one piece
     # A document node at the bottom of the stack gives every element a
     # parent to join.
-    document = RawElement("", {})
+    document = TargetNode("")
     stack = [document]
 
     def start(name: str, attrs: dict[str, str]) -> None:
         if len(stack) > MATHML_NESTING_DEPTH:
             raise _located(parser, _TOO_DEEP.format(MATHML_NESTING_DEPTH))
-        line, col = parser.CurrentLineNumber, parser.CurrentColumnNumber + 1
-        elem = RawElement(name, attrs, [], "", line, col)
-        stack[-1].children.append(elem)
-        stack.append(elem)
+        if "xml" in "".join(attrs):  # xmlns, xmlns:*, xml:* or a false alarm
+            attrs = {
+                key.rpartition(":")[2] if key.startswith("xml:") else key: value
+                for key, value in attrs.items()
+                if key != "xmlns" and not key.startswith("xmlns:")
+            }
+        node = TargetNode(name.rpartition(":")[2], attrs, [], "")
+        stack[-1].children.append(node)
+        stack.append(node)
 
     def end(_name: str) -> None:
-        stack.pop()
+        node = stack.pop()
+        if node.children:
+            node.text = None
 
     def chars(data: str) -> None:
         stack[-1].text += data
 
-    _read(parser, text, start, end, chars, document.children)
+    _read(parser, text, start, end, chars)
     return document.children[0]  # expat refuses a text without an element
 
 
@@ -309,11 +298,16 @@ def parse_xmath(text: str) -> XMathDocument:
             line, col = parser.CurrentLineNumber, parser.CurrentColumnNumber + 1
             hold(node, 2, line, col, f"text content not allowed inside {local}")
 
-    shifts = _read(parser, text, start, end, chars, top)
+    shifts = _read(parser, text, start, end, chars)
     if faults:
         error = min(faults)[4]
         col = _source_col(shifts, error.line, error.col)
         raise ParseError(error.kind, error.line, col, error.detail)
+    nodes = list(top) if shifts else []
+    while nodes:  # columns in the text as written
+        node = nodes.pop()
+        node.col = _source_col(shifts, node.line, node.col)
+        nodes.extend(node.children)
     root = top[0]
     while root.kind is None:  # a fault-free wrapper has exactly one child
         root = root.children[0]

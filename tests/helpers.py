@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from xmathml import EntityMode, read_xml_tree, target_from_raw
+from xmathml import EntityMode, read_xml_tree
 from xmathml.serializer import escape_attr, escape_text
 from xmathml.mml import TargetNode
 from xmathml.model import NodeKind, XMathDocument, XMathNode
@@ -115,7 +115,7 @@ def reference_escape_attr(value: str, mode: EntityMode = EntityMode.UTF8) -> str
 
 
 def parse_mathml(text: str) -> TargetNode:
-    return target_from_raw(read_xml_tree(text))
+    return read_xml_tree(text)
 
 
 def bra_ket_chain(

@@ -28,6 +28,7 @@ from xmathml import (
     parse_xmath,
     serialize_mathml,
 )
+from xmathml.cli import main
 from xmathml.errors import IdCollisionError
 from xmathml.linker import _SUFFIXES, _suffix_letters
 from helpers import bra_ket_chain, parse_mathml, sum_of
@@ -560,6 +561,28 @@ def test_own_output_of_letter_ending_ids_checks_clean():
         assert check_links(math).lines() == []
         for opts in _REPARSE_MODES:
             assert check_links(parse_mathml(serialize_mathml(math, opts))).lines() == []
+
+
+def test_id_collisions_are_located(tmp_path, capsys):
+    """Each IdCollisionError is located at the input token that carries
+    the colliding id, and the command line reports that location."""
+    texts = _ID_SHAPES + (
+        "<XMApp><XMTok role='ADDOP' meaning='plus'/><XMTok xml:id='x'>a</XMTok>"
+        "<XMTok xml:id='x.cmml'>b</XMTok></XMApp>",
+    )
+    path = tmp_path / "input.xml"
+    located = []
+    for text in texts:
+        path.write_text(text, encoding="utf-8")
+        for build, mode in ((build_parallel, "parallel"), (build_presentation, "pmml")):
+            try:
+                build(parse_xmath(text))
+            except IdCollisionError as err:
+                assert err.line == 1 and text.startswith("<XMTok xml:id=", err.col - 1)
+                assert main([str(path), "--to", mode]) == 2
+                assert capsys.readouterr().err.startswith(f"{path}: error: 1:{err.col}: ")
+                located.append(err.col)
+    assert located == [8, 38, 38, 44, 44]
 
 
 def _allocation_record(build) -> str:

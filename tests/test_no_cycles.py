@@ -20,7 +20,6 @@ from xmathml import (
     parse_xmath,
     read_xml_tree,
     serialize_mathml,
-    target_from_raw,
 )
 from conftest import fixture_text
 from helpers import bra_ket_chain, serialize_xmath, sum_of
@@ -133,7 +132,7 @@ def test_serialize_mathml(mode):
 
 def test_check_path():
     def check(text: str) -> None:
-        check_links(target_from_raw(read_xml_tree(text)))
+        check_links(read_xml_tree(text))
 
     outputs = [serialize_mathml(math) for math in map(_converted, _INPUTS) if math]
     outputs.append(outputs[0].replace("</math>", ""))  # refused by the reader

@@ -14,7 +14,6 @@ from xmathml import (
     parse_xmath,
     read_xml_tree,
     serialize_mathml,
-    target_from_raw,
 )
 from xmathml.serializer import escape_attr, escape_text
 from helpers import (
@@ -203,22 +202,55 @@ FAST_PATHS_DIGEST = (
 )
 
 
-def test_fast_paths_pinned():
-    """Escaped ids and xrefs, id/xref-only heads and repeated texts are
-    written byte-identically to the recorded output in every mode, and the
-    ids come back intact on re-parse."""
+def _fast_path_trees() -> list[TargetNode]:
     trees = [_hand_built_tree()]
     trees += [
         build_parallel(parse_xmath(text), tex='t&<"\r')
         for text in (_ESCAPED_ID_FORMULA, *_SHARED_TEXT_FORMULAS)
     ]
+    return trees
+
+
+def test_fast_paths_pinned():
+    """Escaped ids and xrefs, id/xref-only heads and repeated texts are
+    written byte-identically to the recorded output in every mode, and the
+    ids come back intact on re-parse."""
+    trees = _fast_path_trees()
     assert any("\r" in node.attrs.get("xref", "") for node in trees[1].iter())
     digest = hashlib.sha256()
     for tree in trees:
         for opts in _FAST_PATH_MODES:
             text = serialize_mathml(tree, opts)
             digest.update(text.encode("utf-8") + b"\0")
-            reparsed = target_from_raw(read_xml_tree(text))
+            reparsed = read_xml_tree(text)
             assert _id_pairs(reparsed) == _id_pairs(tree)
             assert same_shape(reparsed, tree)
     assert digest.hexdigest() == FAST_PATHS_DIGEST
+
+
+def _expected_tree(elem: ET.Element) -> tuple:
+    """What read_xml_tree must give for an ElementTree element: the local
+    name, attributes without namespace declarations or the ``xml:``
+    prefix, and text on leaves only."""
+    attrs = {name.rpartition("}")[2]: value for name, value in elem.attrib.items()}
+    children = [_expected_tree(child) for child in elem]
+    return (elem.tag.rpartition("}")[2], attrs, None if children else elem.text or "", children)
+
+
+def _read_tree(node) -> tuple:
+    assert isinstance(node, TargetNode)
+    return (node.element, node.attrs, node.text, [_read_tree(child) for child in node.children])
+
+
+def test_reader_builds_local_target_trees():
+    """read_xml_tree gives a TargetNode tree with local names, no xmlns
+    attributes, ``xml:`` prefixes stripped and text on leaves only, in
+    every serialize mode, prefixed output included."""
+    trees, prefixed = _fast_path_trees(), 0
+    for tree in trees:
+        for opts in _FAST_PATH_MODES:
+            text = serialize_mathml(tree, opts)
+            prefixed += text.startswith("<m:math")
+            for text in (text, text.replace("math ", 'math xml:lang="en" ', 1)):
+                assert _read_tree(read_xml_tree(text)) == _expected_tree(ET.fromstring(text))
+    assert prefixed == 2 * len(trees)
