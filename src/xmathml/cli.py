@@ -75,10 +75,11 @@ def run(args: argparse.Namespace) -> int:
             math = build_presentation(doc, display=args.display)
         else:
             math = build_content(doc, table=table)
-    except ParseError as exc:
-        print(f"{name}:{exc.line}:{exc.col}: error: {exc.detail}", file=sys.stderr)
+    except (ParseError, ConversionError) as exc:
+        where = f"{name}:{exc.line}:{exc.col}" if exc.line else name
+        print(f"{where}: error: {exc.detail}", file=sys.stderr)
         return 2
-    except (ConversionError, ValueError) as exc:
+    except ValueError as exc:
         print(f"{name}: error: {exc}", file=sys.stderr)
         return 2
     except RecursionError:

@@ -29,13 +29,14 @@ class ParseError(Exception):
 
 
 class ConversionError(Exception):
-    """Base for errors raised while generating MathML from a parsed document."""
+    """Base for errors raised while generating MathML from a parsed document.
 
-    def __init__(self, message: str, node=None):
-        if node is not None and getattr(node, "line", 0):
-            message = f"{node.line}:{node.col}: {message}"
-        super().__init__(message)
-        self.node = node
+    ``str()`` is ``detail`` after the node's line:col, when it has one.
+    """
+
+    def __init__(self, detail: str, node=None):
+        self.detail, self.node = detail, node
+        super().__init__(f"{self.line}:{self.col}: {detail}" if self.line else detail)
 
     @property
     def line(self) -> int:

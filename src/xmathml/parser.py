@@ -295,7 +295,9 @@ def parse_xmath(text: str) -> XMathDocument:
                 return  # an unknown element's own fault ranks first
             else:
                 local = node.kind.value
-            line, col = parser.CurrentLineNumber, parser.CurrentColumnNumber + 1
+            # Unbuffered, a run holds no line break: skip its leading spaces.
+            line = parser.CurrentLineNumber
+            col = parser.CurrentColumnNumber + 1 + len(data) - len(data.lstrip())
             hold(node, 2, line, col, f"text content not allowed inside {local}")
 
     shifts = _read(parser, text, start, end, chars)

@@ -93,23 +93,31 @@ def serialize_mathml(root: TargetNode, opts: SerializeOptions | None = None) -> 
     special = _ATTR_SPECIAL.search
     # Escape each text once; ids are unique, so a memo of them would not pay.
     texts: dict[str, str] = {}
+    # Ids and xrefs go out as they are and are tested together at the end;
+    # if any needs an escape, the tree is written again with all escaped.
+    written: list[str] = []
+    keep = written.append
+    escape_ids = False
 
     def emit(node: TargetNode, indent: str, extra: str) -> None:
         name = name_prefix + node.element
         attrs = node.attrs
         node_id, xref = attrs.get("id"), attrs.get("xref")
-        if node_id and (special(node_id) or numeric and not node_id.isascii()):
-            node_id = escape_attr(node_id, mode)
-        if xref and (special(xref) or numeric and not xref.isascii()):
-            xref = escape_attr(xref, mode)
+        if escape_ids:
+            node_id = node_id and escape_attr(node_id, mode)
+            xref = xref and escape_attr(xref, mode)
         # Most nodes carry exactly id and xref: one head, no sort.
         if xref is not None and node_id is not None and len(attrs) == 2:
+            keep(node_id)
+            keep(xref)
             head = f'{indent}<{name} id="{node_id}" xref="{xref}"'
         else:
             head = f"{indent}<{name}"
             if node_id is not None:
+                keep(node_id)
                 head += f' id="{node_id}"'
             if xref is not None:
+                keep(xref)
                 head += f' xref="{xref}"'
             for key in sorted(attrs):
                 if key != "id" and key != "xref":
@@ -133,6 +141,11 @@ def serialize_mathml(root: TargetNode, opts: SerializeOptions | None = None) -> 
             append(f"{head}{extra}/>{newline}")
 
     emit(root, "", xmlns)
-    del emit  # it refers to itself: unbound, the parts are freed on return
-    text = "".join(parts)
-    return text if text.endswith("\n") else text + "\n"
+    if special(ids := "".join(written)) or numeric and not ids.isascii():
+        parts.clear()
+        escape_ids = True
+        emit(root, "", xmlns)
+    del emit, keep, written, ids  # emit refers to itself; freed here, before the join
+    if not opts.pretty:
+        append("\n")
+    return "".join(parts)

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from xmathml import ConversionError, build_parallel, parse_xmath
 from xmathml.cli import main
 from helpers import (
     assert_isomorphic,
@@ -251,10 +252,11 @@ def test_deepest_input_output_passes_check(tmp_path, capsys):
 
 
 def _located_at(err, path, text, tag):
-    """The message is ``path: error: 1:col: ...`` with col at a ``tag``."""
-    assert err.startswith(f"{path}: error: 1:")
-    col = int(err.split(":")[3])
-    assert text.startswith(tag, col - 1)
+    """The message is ``path:1:col: error: ...`` with col at a ``tag``."""
+    assert err.startswith(f"{path}:1:")
+    col, rest = err[len(path) + 3 :].split(":", 1)
+    assert rest.startswith(" error: ") and not rest[8].isdigit()  # one location
+    assert text.startswith(tag, int(col) - 1)
 
 
 def test_refs_nested_too_deeply_exit_code(tmp_path, capsys):
@@ -275,6 +277,22 @@ def test_expansions_nested_too_deeply_exit_code(tmp_path, capsys):
         assert (code, out) == (2, "")
         assert "expansions nested too deeply" in err
         _located_at(err, source, text, "<XMApp")
+
+
+def test_conversion_error_located_like_parse_error(tmp_path, capsys):
+    """A located ConversionError prints as ``file:line:col: error: detail``;
+    the exception keeps the location in ``str()`` and not in ``detail``."""
+    text = "<XMApp><XMTok xml:id='m1.5'>f</XMTok><XMTok xml:id='m1'>x</XMTok></XMApp>"
+    source = _write(tmp_path, "input.xml", text)
+    assert _run(capsys, source) == (
+        2, "", f"{source}:1:38: error: wrapper id 'm1' collides with a node id\n"
+    )
+    with pytest.raises(ConversionError) as excinfo:
+        build_parallel(parse_xmath(text))
+    assert excinfo.value.detail == "wrapper id 'm1' collides with a node id"
+    assert str(excinfo.value) == "1:38: wrapper id 'm1' collides with a node id"
+    unlocated = ConversionError("no node")
+    assert str(unlocated) == unlocated.detail == "no node"
 
 
 def test_output_file(tmp_path, capsys, sum_function_xmath):

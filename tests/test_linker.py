@@ -580,7 +580,7 @@ def test_id_collisions_are_located(tmp_path, capsys):
             except IdCollisionError as err:
                 assert err.line == 1 and text.startswith("<XMTok xml:id=", err.col - 1)
                 assert main([str(path), "--to", mode]) == 2
-                assert capsys.readouterr().err.startswith(f"{path}: error: 1:{err.col}: ")
+                assert capsys.readouterr().err.startswith(f"{path}:1:{err.col}: error: ")
                 located.append(err.col)
     assert located == [8, 38, 38, 44, 44]
 

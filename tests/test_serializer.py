@@ -24,6 +24,7 @@ from helpers import (
     same_shape,
     sum_of,
 )
+from conftest import fixture_text
 from treegen import random_document
 
 UTF8 = SerializeOptions()
@@ -150,16 +151,7 @@ def test_carriage_return_survives_reparse():
 #: XMath whose input ids (and so output ids and xrefs, suffixed or not)
 #: hold every character with an attribute escape, plus non-ASCII ones;
 #: the first dotted id makes the wrapper ids non-ASCII too.
-_ESCAPED_ID_FORMULA = (
-    "<XMDual xml:id='ψ.1'><XMApp><XMTok meaning='times'/>"
-    "<XMRef idref='a&amp;b'/><XMRef idref='c&lt;d&gt;'/><XMRef idref='q&quot;'/>"
-    "<XMRef idref='t&#9;n&#10;r&#13;'/><XMRef idref='&#x1D49C;ψ'/></XMApp>"
-    "<XMWrap><XMTok xml:id='a&amp;b'>a</XMTok><XMRef idref='a&amp;b'/>"
-    "<XMTok xml:id='c&lt;d&gt;' role='MULOP'>&lt;</XMTok><XMRef idref='c&lt;d&gt;'/>"
-    "<XMTok xml:id='q&quot;'>q</XMTok><XMTok xml:id='t&#9;n&#10;r&#13;'>&amp;&#13;</XMTok>"
-    "<XMRef idref='t&#9;n&#10;r&#13;'/><XMTok xml:id='&#x1D49C;ψ'>&#x1D49C;</XMTok>"
-    "<XMRef idref='&#x1D49C;ψ'/><XMRef idref='&#x1D49C;ψ'/></XMWrap></XMDual>"
-)
+_ESCAPED_ID_FORMULA = fixture_text("escaped_ids.xmath.xml")
 
 #: Shared ref chains whose copies repeat the same non-ASCII and escaped texts.
 _SHARED_TEXT_FORMULAS = (
@@ -254,3 +246,37 @@ def test_reader_builds_local_target_trees():
             for text in (text, text.replace("math ", 'math xml:lang="en" ', 1)):
                 assert _read_tree(read_xml_tree(text)) == _expected_tree(ET.fromstring(text))
     assert prefixed == 2 * len(trees)
+
+
+def _one_value_tree(index: int, attr: str, value: str) -> TargetNode:
+    """Clean ids and xrefs, on heads of every kind, but for ``attr`` of
+    the ``index``-th node, which is ``value``."""
+    leaves = [TargetNode("mi", {"id": f"m{i}", "xref": f"m{i}.cmml"}, text="x") for i in range(3)]
+    leaves.append(TargetNode("mo", {"xref": "o.cmml", "stretchy": "false"}, text="+"))
+    tree = TargetNode("math", {"id": "m"}, [TargetNode("mrow", {"id": "r", "xref": "r.cmml"}, leaves)])
+    list(tree.iter())[index].attrs[attr] = value
+    return tree
+
+
+def test_lone_escaped_id_or_xref():
+    """A tree whose only escape is in one id or one xref is written as with
+    escape_attr on each value: the whole-tree test sees ids and xrefs, and
+    non-ASCII ones in numeric mode."""
+    slots = [
+        (index, attr)
+        for index, node in enumerate(_one_value_tree(0, "id", "m").iter())
+        for attr in ("id", "xref")
+        if attr in node.attrs
+    ]
+    assert len(slots) == 10
+    for index, attr in slots:
+        for special in '&<>"\n\t\rψ\U0001d49c':
+            value = f"a{special}b"
+            tree = _one_value_tree(index, attr, value)
+            for opts in _FAST_PATH_MODES:
+                text = serialize_mathml(tree, opts)
+                # A value that needs no escape stands in for it.
+                clean = serialize_mathml(_one_value_tree(index, attr, "lone"), opts)
+                escaped = escape_attr(value, opts.entity_mode)
+                assert text == clean.replace('"lone"', f'"{escaped}"')
+                assert _id_pairs(read_xml_tree(text)) == _id_pairs(tree)
