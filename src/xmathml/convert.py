@@ -9,7 +9,6 @@ from .linker import (
     assemble_single,
     assign_ids,
     build_registry,
-    link_xrefs,
 )
 from .mml import TargetNode
 from .model import TOK, XMathDocument
@@ -49,7 +48,6 @@ def build_parallel(
     scheme = IdScheme.infer(doc)
     registry = build_registry(presentation, content)
     assign_ids(registry, scheme)
-    link_xrefs(registry)
     if display is None:
         display = derive_display(doc, vis)
     return assemble_parallel(

@@ -4,9 +4,9 @@ Every generated node gets a stable id derived from its ascribed source:
 the source's xml:id when it has one, otherwise a fresh ``prefix.k``
 allocated in document order of first appearance. Targets sharing a source
 within a branch are distinguished by letter suffixes in document order,
-and content-side ids append ".cmml". Cross-references then connect each
-node to the document-order-first opposite-branch node with the same
-source.
+and content-side ids append ".cmml". The same pass connects each node to
+the document-order-first opposite-branch node with the same source.
+Wrapper ids skip the issued ids as suffixes do.
 """
 
 from __future__ import annotations
@@ -124,26 +124,31 @@ _SUFFIXES = ("", *_LOWERCASE, *(a + b for a in _LOWERCASE for b in _LOWERCASE))
 
 
 def assign_ids(registry: AscriptionRegistry, scheme: IdScheme) -> None:
-    """Set the id attribute on every registered target node.
+    """Set the id, and the xref where both branches are built, of every
+    registered target node.
 
     A source's base id is its xml:id, else the next fresh ``prefix.k``;
     fresh ids are handed out by each source's first appearance,
     presentation before content. Each source's first node in a branch
     takes the base id; its later nodes take letter suffixes, skipping
     any id issued to another node, so they never take another source's
-    id. The ids it sets are recorded as ``scheme.issued``.
+    id. A source in both branches links its presentation nodes to its
+    first content id and its content nodes to its base. The ids it sets
+    are recorded as ``scheme.issued``.
     """
     bases: dict[int, str] = {}
     counter = scheme.next_counter
     issued: set[str] = set()
     add = issued.add
     shared: list[tuple[list[TargetNode], str, str]] = []
+    presentation = registry.groups[PRESENTATION]
     # First ids first, so that no suffixed id can take one.
     for branch in _BRANCH_ORDER:
         suffix = CONTENT_ID_SUFFIX if branch is CONTENT else ""
         for index, nodes in registry.groups[branch].items():
             base = bases.get(index)
-            if base is None:
+            linked = base is not None  # only a content group finds a base
+            if not linked:
                 base = nodes[0].source.attrs.xml_id
                 if base is None:
                     base = f"{scheme.prefix}.{counter}"
@@ -157,6 +162,11 @@ def assign_ids(registry: AscriptionRegistry, scheme: IdScheme) -> None:
             add(node_id)
             if len(nodes) > 1:
                 shared.append((nodes, base, suffix))
+            if linked:
+                for node in presentation[index]:
+                    node.attrs["xref"] = node_id
+                for node in nodes:
+                    node.attrs["xref"] = base
     for nodes, base, suffix in shared:
         k = 0
         node_id = base + suffix  # issued: the loop below moves past it
@@ -171,27 +181,20 @@ def assign_ids(registry: AscriptionRegistry, scheme: IdScheme) -> None:
 
 
 def link_xrefs(registry: AscriptionRegistry) -> None:
-    """Point every node at the first opposite-branch node sharing its source."""
-    for branch in _BRANCH_ORDER:
-        opposite = registry.groups[branch.opposite]
-        for index, nodes in registry.groups[branch].items():
-            targets = opposite.get(index)
-            if targets is not None:
-                first_id = targets[0].attrs["id"]
-                for node in nodes:
-                    node.attrs["xref"] = first_id
+    """Does nothing: ``assign_ids`` sets the xrefs. Kept because
+    ``perfbench`` still times it as a layer of its own."""
 
 
-def _wrapper_id(scheme: IdScheme, trees: tuple, letter: str = "") -> str:
-    wrapper_id = scheme.prefix + letter
-    if wrapper_id in scheme.issued:
-        # Refused: located at the source of the node that carries the id.
-        stack = list(trees)
-        while stack and stack[-1].attrs.get("id") != wrapper_id:
-            stack += stack.pop().children
-        message = f"wrapper id {wrapper_id!r} collides with a node id"
-        raise IdCollisionError(message, stack[-1].source if stack else None)
-    return wrapper_id
+def _free_ids(scheme: IdScheme, count: int) -> list[str]:
+    """The first ``count`` of prefix, prefix+a, prefix+b, ... not issued."""
+    free: list[str] = []
+    k = 0
+    while len(free) < count:
+        wrapper_id = scheme.prefix + (_SUFFIXES[k] if k < 703 else _suffix_letters(k))
+        if wrapper_id not in scheme.issued:
+            free.append(wrapper_id)
+        k += 1
+    return free
 
 
 def assemble_parallel(
@@ -204,33 +207,27 @@ def assemble_parallel(
 ) -> TargetNode:
     """Wrap linked presentation and content trees into one math element.
 
-    The math/semantics/annotation wrappers get prefix, prefix+a/b/c ids,
-    which must not be among ``scheme.issued``, and never carry xrefs. The
-    TeX annotation (and alttext) appear only when tex is given.
+    The math/semantics/annotation-xml/annotation wrappers take, in that
+    order, the first of prefix, prefix+a, prefix+b, ... not among
+    ``scheme.issued``, and never carry xrefs. The TeX annotation (and
+    alttext) appear only when tex is given.
     """
-    trees = (pmml, cmml)
-    math_attrs: dict[str, str] = {"id": _wrapper_id(scheme, trees)}
+    math_id, semantics_id, content_id, tex_id = _free_ids(scheme, 4)
+    math_attrs: dict[str, str] = {"id": math_id}
     if display is not None:
         math_attrs["display"] = display
     if tex is not None:
         math_attrs["alttext"] = tex
     math_attrs["class"] = "ltx_Math"
 
-    semantics = TargetNode("semantics", {"id": _wrapper_id(scheme, trees, "a")}, [pmml])
+    semantics = TargetNode("semantics", {"id": semantics_id}, [pmml])
     annotation_xml = TargetNode(
-        "annotation-xml",
-        {"id": _wrapper_id(scheme, trees, "b"), "encoding": "MathML-Content"},
-        [cmml],
+        "annotation-xml", {"id": content_id, "encoding": "MathML-Content"}, [cmml]
     )
     semantics.children.append(annotation_xml)
     if tex is not None:
-        semantics.children.append(
-            TargetNode(
-                "annotation",
-                {"id": _wrapper_id(scheme, trees, "c"), "encoding": "application/x-tex"},
-                text=tex,
-            )
-        )
+        annotation = {"id": tex_id, "encoding": "application/x-tex"}
+        semantics.children.append(TargetNode("annotation", annotation, text=tex))
     return TargetNode("math", math_attrs, [semantics])
 
 
@@ -241,7 +238,7 @@ def assemble_single(
     scheme: IdScheme,
 ) -> TargetNode:
     """Wrap a single-branch tree (ids, no xrefs) into a bare math element."""
-    attrs: dict[str, str] = {"id": _wrapper_id(scheme, (root,))}
+    attrs: dict[str, str] = {"id": _free_ids(scheme, 1)[0]}
     if display is not None:
         attrs["display"] = display
     attrs["class"] = "ltx_Math"

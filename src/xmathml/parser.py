@@ -287,7 +287,7 @@ def parse_xmath(text: str) -> XMathDocument:
         node = stack[-1]  # expat reports no text outside the root
         if node.kind is TOK:
             node.text += data
-        elif data.strip():
+        elif data.strip() or not data.isascii():  # a non-ASCII space is text
             depth = len(stack)
             if depth <= len(wrapper_names):
                 local = wrapper_names[depth - 1]
@@ -297,7 +297,7 @@ def parse_xmath(text: str) -> XMathDocument:
                 local = node.kind.value
             # Unbuffered, a run holds no line break: skip its leading spaces.
             line = parser.CurrentLineNumber
-            col = parser.CurrentColumnNumber + 1 + len(data) - len(data.lstrip())
+            col = parser.CurrentColumnNumber + 1 + len(data) - len(data.lstrip(" \t\r\n"))
             hold(node, 2, line, col, f"text content not allowed inside {local}")
 
     shifts = _read(parser, text, start, end, chars)

@@ -282,15 +282,18 @@ def test_expansions_nested_too_deeply_exit_code(tmp_path, capsys):
 def test_conversion_error_located_like_parse_error(tmp_path, capsys):
     """A located ConversionError prints as ``file:line:col: error: detail``;
     the exception keeps the location in ``str()`` and not in ``detail``."""
-    text = "<XMApp><XMTok xml:id='m1.5'>f</XMTok><XMTok xml:id='m1'>x</XMTok></XMApp>"
+    text = (
+        "<XMApp><XMTok role='ADDOP' meaning='plus'/><XMTok xml:id='x'>a</XMTok>"
+        "<XMTok xml:id='x.cmml'>b</XMTok></XMApp>"
+    )
     source = _write(tmp_path, "input.xml", text)
     assert _run(capsys, source) == (
-        2, "", f"{source}:1:38: error: wrapper id 'm1' collides with a node id\n"
+        2, "", f"{source}:1:44: error: output id 'x.cmml' allocated twice\n"
     )
     with pytest.raises(ConversionError) as excinfo:
         build_parallel(parse_xmath(text))
-    assert excinfo.value.detail == "wrapper id 'm1' collides with a node id"
-    assert str(excinfo.value) == "1:38: wrapper id 'm1' collides with a node id"
+    assert excinfo.value.detail == "output id 'x.cmml' allocated twice"
+    assert str(excinfo.value) == "1:44: output id 'x.cmml' allocated twice"
     unlocated = ConversionError("no node")
     assert str(unlocated) == unlocated.detail == "no node"
 

@@ -419,6 +419,26 @@ def _position(text: str, marker: str, occurrence: int = 0) -> tuple[int, int]:
             "text content not allowed inside XMApp",
         ),
         (
+            # Only XML white space (space, tab, CR, LF) may stand between
+            # elements: a no-break or em space is text.
+            "<XMApp><XMTok meaning='plus'/>&nbsp;<XMTok>a</XMTok>&#x2003;<XMTok>b</XMTok></XMApp>",
+            "&nbsp;",
+            ParseErrorKind.MALFORMED_XML,
+            "text content not allowed inside XMApp",
+        ),
+        (
+            "<XMApp><XMTok meaning='plus'/>\n \t&nbsp;<XMTok>a</XMTok></XMApp>",
+            "&nbsp;",
+            ParseErrorKind.MALFORMED_XML,
+            "text content not allowed inside XMApp",
+        ),
+        (
+            "<XMApp><XMTok meaning='plus'/> <XMTok>a</XMTok>&#x2003;<XMTok>b</XMTok></XMApp>",
+            "&#x2003;",
+            ParseErrorKind.MALFORMED_XML,
+            "text content not allowed inside XMApp",
+        ),
+        (
             '<XMApp><XMTok xml:id="a">&sum;</XMTok><XMTok xml:id="a"/></XMApp>',
             '<XMTok xml:id="a"/>',
             ParseErrorKind.DUPLICATE_ID,
