@@ -212,13 +212,11 @@ def gen_cmml(
 
 class _Walk(BranchWalk):
     branch = CONTENT
+    token = staticmethod(token_to_cmml)
 
     def __init__(self, doc: XMathDocument, vis: VisibilityMap, table: MeaningTable):
         super().__init__(doc, vis)
         self.table = table
-
-    def token(self, tok: XMathNode) -> TargetNode:
-        return token_to_cmml(tok)
 
     def wrap(self, node: XMathNode, container: XMathNode | None) -> TargetNode:
         name = node.attrs.xml_id or f"node {node.index}"

@@ -42,14 +42,8 @@ class IdScheme:
         ``prefix.k``-shaped ids, so allocated ids extend the input
         sequence instead of colliding with it.
         """
-        prefix = None
-        for node in doc.nodes:
-            xml_id = node.attrs.xml_id
-            if xml_id and "." in xml_id:
-                prefix = xml_id.split(".", 1)[0]
-                break
-        if not prefix:
-            prefix = "m1"
+        # id_index is filled in document order.
+        prefix = next((i for i in doc.id_index if "." in i), "").split(".", 1)[0] or "m1"
         pattern = re.compile(re.escape(prefix) + r"\.(\d+)")
         highest = 0
         for xml_id in doc.id_index:

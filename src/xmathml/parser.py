@@ -2,8 +2,10 @@
 
 Both readers are built directly on expat, so that every diagnostic carries
 a line/column, and both build their nodes in the expat callbacks, in one
-pass over the text. Element names are accepted with or without a
-namespace prefix; the local name decides the node kind.
+pass over the text. Named entities are substituted before expat starts,
+and each column is moved back into the text as written when it is
+recorded. Element names are accepted with or without a namespace prefix;
+the local name decides the node kind.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ _LINE_BREAK = re.compile(r"\r\n?|\n")  # what expat counts as a new line
 MAX_NESTING_DEPTH = 200
 MATHML_NESTING_DEPTH = MAX_NESTING_DEPTH + 3  # math, semantics, annotation-xml
 _TOO_DEEP = "element nesting deeper than {}"
+_kind_of = ELEMENT_KINDS.get  # bound once, not looked up per element
 
 
 def _located(parser, detail: str) -> ParseError:
@@ -50,9 +53,12 @@ def _located(parser, detail: str) -> ParseError:
 
 def _substitute(text: str) -> tuple[str, dict]:
     """Replace the known named entities outside CDATA sections and
-    comments. Per line with a replacement, also give the 1-based columns
+    comments, before expat reads the text (expat knows only the five XML
+    built-ins). Per line with a replacement, also give the 1-based columns
     of the replacements in the new text and the columns removed up to and
-    including each."""
+    including each; a text without ``&`` comes back as it is, with none."""
+    if "&" not in text:
+        return text, {}
     pieces, shifts = [], {}
     line, line_start, last, removed = 1, 0, 0, 0
     for match in _ENTITY_RE.finditer(text):
@@ -78,19 +84,16 @@ def _source_col(shifts: dict, line: int, col: int) -> int:
     return col + totals[before - 1] if before else col
 
 
-def _read(parser, text: str, start, end, chars) -> dict:
-    """Run a fresh expat ``parser`` over ``text`` with the reader's checks.
+def _read(parser, text: str, shifts: dict, start, end, chars) -> None:
+    """Run a fresh expat ``parser`` over the substituted ``text`` with the
+    reader's checks.
 
     The handlers are installed directly, one Python frame per event; each
     reads the parser's position only when it needs one, and ``start``
-    refuses nesting beyond the reader's depth limit (``_TOO_DEEP``). Known
-    named character entities are substituted up front (expat knows only
-    the five XML built-ins), and document type declarations are refused.
-    Every refusal is a located MALFORMED_XML.
-
-    Columns are given in the text as written: errors here are moved back
-    past substituted entities, and the returned shifts (empty for a text
-    without ``&``) let the caller do the same with ``_source_col``.
+    refuses nesting beyond the reader's depth limit (``_TOO_DEEP``).
+    Document type declarations are refused. Every refusal is a located
+    MALFORMED_XML, its column moved back past the substituted entities
+    (``shifts``, from ``_substitute``) into the text as written.
     """
 
     def doctype(*_args) -> None:
@@ -102,9 +105,6 @@ def _read(parser, text: str, start, end, chars) -> dict:
     parser.EndElementHandler = end
     parser.CharacterDataHandler = chars
     parser.StartDoctypeDeclHandler = doctype
-    shifts: dict = {}
-    if "&" in text:
-        text, shifts = _substitute(text)
     try:
         parser.Parse(text, True)
     except xml.parsers.expat.ExpatError as exc:
@@ -113,7 +113,7 @@ def _read(parser, text: str, start, end, chars) -> dict:
     except ParseError as exc:  # raised by a handler
         line, col, detail = exc.line, exc.col, exc.detail
     else:
-        return shifts
+        return
     finally:
         # The handlers close over the parser; unset, the parser and all
         # they hold are freed on return instead of by the cyclic collector.
@@ -155,7 +155,7 @@ def read_xml_tree(text: str) -> TargetNode:
     def chars(data: str) -> None:
         stack[-1].text += data
 
-    _read(parser, text, start, end, chars)
+    _read(parser, *_substitute(text), start, end, chars)
     return document.children[0]  # expat refuses a text without an element
 
 
@@ -166,24 +166,28 @@ def parse_xmath(text: str) -> XMathDocument:
     exactly, including empty text. Raises ParseError on any rejection;
     duplicate ids and dangling idrefs are found by XMathDocument.
 
-    Nodes are built in the expat callbacks. Structural faults are held
-    until the reader has accepted the whole text (a reader fault anywhere
-    wins), and the least is raised: by the start of the element it
-    belongs to, then by rank (0 unknown element, 1 an XMTok's first
-    child, 2 text, 3 an XMRef's children or a wrapper's child count,
-    4 an XMRef without idref, 5 an XMDual's arity, which belongs to the
-    last element inside the dual), then by arrival.
+    Nodes are built in the expat callbacks, each column recorded in the
+    text as written. Structural faults are held until the reader has
+    accepted the whole text (a reader fault anywhere wins), and the least
+    is raised: by the start of the element it belongs to, then by rank
+    (0 unknown element, 1 an XMTok's first child, 2 text, 3 an XMRef's
+    children or a wrapper's child count, 4 an XMRef without idref, 5 an
+    XMDual's arity, which belongs to the last element inside the dual),
+    then by arrival.
     """
     # Local names: looking up an enum member costs more than most of a
     # callback.
     TOK, REF, DUAL = NodeKind.TOK, NodeKind.REF, NodeKind.DUAL
     parser = xml.parsers.expat.ParserCreate()
+    text, shifts = _substitute(text)
     top: list[XMathNode] = []
     stack: list[XMathNode] = []
     # Math/XMath wrappers and unknown elements open as placeholder nodes
     # of kind None; the wrappers are the bottom len(wrapper_names) ones.
+    # (A document node at the bottom, as in read_xml_tree, would drop top
+    # and the depth test below; it made a one-token parse 12% slower.)
     wrapper_names: list[str] = []
-    faults: list[tuple[int, int, int, int, ParseError]] = []
+    faults: list[tuple] = []
 
     def hold(
         owner: XMathNode,
@@ -193,15 +197,16 @@ def parse_xmath(text: str) -> XMathDocument:
         detail: str,
         kind: ParseErrorKind = ParseErrorKind.MALFORMED_XML,
     ) -> None:
-        error = ParseError(kind, line, col, detail)
-        faults.append((owner.line, owner.col, rank, len(faults), error))
+        faults.append((owner.line, owner.col, rank, len(faults), kind, line, col, detail))
 
     def start(name: str, attrs: dict[str, str]) -> None:
         depth = len(stack)
         if depth >= MAX_NESTING_DEPTH:
             raise _located(parser, _TOO_DEEP.format(MAX_NESTING_DEPTH))
         line, col = parser.CurrentLineNumber, parser.CurrentColumnNumber + 1
-        kind = ELEMENT_KINDS.get(name) or ELEMENT_KINDS.get(name.rpartition(":")[2])
+        if shifts:
+            col = _source_col(shifts, line, col)
+        kind = _kind_of(name) or _kind_of(name.rpartition(":")[2])
         if kind is not None:
             sem = SemanticAttrs()
             for key, value in attrs.items():
@@ -298,18 +303,12 @@ def parse_xmath(text: str) -> XMathDocument:
             # Unbuffered, a run holds no line break: skip its leading spaces.
             line = parser.CurrentLineNumber
             col = parser.CurrentColumnNumber + 1 + len(data) - len(data.lstrip(" \t\r\n"))
+            col = _source_col(shifts, line, col)
             hold(node, 2, line, col, f"text content not allowed inside {local}")
 
-    shifts = _read(parser, text, start, end, chars)
+    _read(parser, text, shifts, start, end, chars)
     if faults:
-        error = min(faults)[4]
-        col = _source_col(shifts, error.line, error.col)
-        raise ParseError(error.kind, error.line, col, error.detail)
-    nodes = list(top) if shifts else []
-    while nodes:  # columns in the text as written
-        node = nodes.pop()
-        node.col = _source_col(shifts, node.line, node.col)
-        nodes.extend(node.children)
+        raise ParseError(*min(faults)[4:])
     root = top[0]
     while root.kind is None:  # a fault-free wrapper has exactly one child
         root = root.children[0]

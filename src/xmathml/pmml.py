@@ -85,9 +85,7 @@ def gen_pmml(doc: XMathDocument, vis: VisibilityMap) -> TargetNode:
 
 class _Walk(BranchWalk):
     branch = PRESENTATION
-
-    def token(self, tok: XMathNode) -> TargetNode:
-        return token_to_pmml(tok)
+    token = staticmethod(token_to_pmml)
 
     def wrap(self, node: XMathNode, container: XMathNode | None) -> TargetNode:
         children = [self.walk(child, container) for child in node.children]

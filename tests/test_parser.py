@@ -468,6 +468,26 @@ def _position(text: str, marker: str, occurrence: int = 0) -> tuple[int, int]:
             ParseErrorKind.DUAL_ARITY,
             "XMDual must have exactly 2 children, found 3",
         ),
+        (
+            # Inside the wrappers, whose own columns are moved past
+            # entities in their attributes.
+            "<Math alttext='&alpha;'><XMath><XMTok>&beta;</XMTok>\n&gamma; junk</XMath></Math>",
+            "&gamma;",
+            ParseErrorKind.MALFORMED_XML,
+            "text content not allowed inside XMath",
+        ),
+        (
+            "<Math alttext='&alpha;&beta;'><XMath><XMTok>&gamma;</XMTok><XMTok/></XMath></Math>",
+            "<XMath",
+            ParseErrorKind.MALFORMED_XML,
+            "XMath wrapper must contain exactly one element",
+        ),
+        (
+            "<Math>\n<XMath><XMApp><XMTok>&alpha;</XMTok><Bogus/></XMApp></XMath></Math>",
+            "<Bogus",
+            ParseErrorKind.UNKNOWN_ELEMENT,
+            "unknown element 'Bogus'",
+        ),
     ],
 )
 def test_fault_positions_after_named_entities(text, marker, kind, detail):
@@ -479,17 +499,21 @@ def test_fault_positions_after_named_entities(text, marker, kind, detail):
 
 
 def test_node_positions_after_named_entities():
-    text = (
+    body = (
         "<XMApp><XMTok>&InvisibleTimes;</XMTok><XMTok>&alpha;&beta;</XMTok>\r\n"
         "<XMTok>&ii;</XMTok><XMTok/><XMTok>&Foo0;</XMTok></XMApp>"
     )
-    with pytest.raises(ParseError):
-        parse_xmath(text)  # &Foo0; is no entity the reader knows
-    doc = parse_xmath(text.replace("&Foo0;", "&amp;"))
-    expected = [_position(text, "<XMApp")]
-    expected += [_position(text, "<XMTok", k) for k in range(5)]
-    assert [(node.line, node.col) for node in doc.nodes] == expected
-    assert [node.text for node in doc.nodes[1:]] == ["\u2062", "αβ", "ⅈ", "", "&"]
+    # Bare, and in wrappers whose attributes hold entities on the line
+    # before the root and on the root's first line.
+    wrapped = "<Math alttext='&alpha;+&beta;'>\n <XMath xml:lang='&eacute;'>{}</XMath>\n</Math>"
+    for text in (body, wrapped.format(body)):
+        with pytest.raises(ParseError):
+            parse_xmath(text)  # &Foo0; is no entity the reader knows
+        doc = parse_xmath(text.replace("&Foo0;", "&amp;"))
+        expected = [_position(text, "<XMApp")]
+        expected += [_position(text, "<XMTok", k) for k in range(5)]
+        assert [(node.line, node.col) for node in doc.nodes] == expected
+        assert [node.text for node in doc.nodes[1:]] == ["\u2062", "αβ", "ⅈ", "", "&"]
 
 
 def test_fixture_roles_are_known(sum_function_xmath, quantum_xmath):
