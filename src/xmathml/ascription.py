@@ -55,11 +55,11 @@ class BranchWalk:
     Duals descend into the walk's own branch and become the container of
     their subtree. A ref chain is chased in one step to its end, with the
     ref's own container kept in force; a ref met again on the current path
-    raises ReferenceCycleError, and one nested past the interpreter's
-    stack ConversionError. The subtree a ref leads to is generated once
-    per (target, container) pair and copied on later visits. Subclasses
-    set ``branch`` and supply ``token`` (a token's unascribed element),
-    ``wrap`` and ``apply`` (for an XMApp with an operator).
+    raises ReferenceCycleError. The subtree a ref leads to is generated
+    once per (target, container) pair and copied on later visits; a ref
+    whose generation or copy runs past the interpreter's stack raises
+    ConversionError. Subclasses set ``branch`` and supply ``token`` (a
+    token's unascribed element), ``wrap`` and ``apply`` (a non-empty XMApp).
     """
 
     branch: Branch
@@ -93,10 +93,10 @@ class BranchWalk:
             target = self.doc.deref(node)
             key = target.index, -1 if container is None else container.index
             made = self._made.get(key)
-            if made is not None:
-                return _clone(made)
             self._active_refs.add(node.index)
             try:
+                if made is not None:
+                    return _clone(made)
                 made = self._made[key] = self.walk(target, container)
             except RecursionError:
                 raise ConversionError("refs nested too deeply to follow", node) from None

@@ -120,11 +120,11 @@ def _build_argparser() -> argparse.ArgumentParser:
         help="output kind, or 'check' to validate an existing MathML file",
     )
     parser.add_argument("--out", default="-", help="output file (default: stdout)")
-    parser.add_argument("--tex", help="TeX source for the annotation/alttext")
+    parser.add_argument("--tex", help="TeX source for alttext/annotation (parallel only)")
     parser.add_argument(
         "--display",
         choices=("block", "inline"),
-        help="display attribute for the math element (default: derived)",
+        help="display attribute of the math element (default: derived; not in cmml)",
     )
     parser.add_argument("--expansions", help="extra expansion-rule table file")
     parser.add_argument("--pretty", action="store_true", help="indent the output")

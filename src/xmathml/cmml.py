@@ -91,8 +91,6 @@ def _parse_template(text: str, context: str) -> Term:
 
     def parse() -> Term:
         nonlocal pos
-        if pos >= len(tokens):
-            raise ValueError(f"{context}: unexpected end of template")
         token = tokens[pos]
         pos += 1
         if token == ")":

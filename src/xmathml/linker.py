@@ -38,9 +38,9 @@ class IdScheme:
         """Derive the scheme from the document's existing xml:ids.
 
         The prefix is the head (before the first dot) of the first id in
-        document order; the counter continues past the largest k found in
-        ``prefix.k``-shaped ids, so allocated ids extend the input
-        sequence instead of colliding with it.
+        document order that holds a dot, else "m1"; the counter continues
+        past the largest k found in ``prefix.k``-shaped ids, so allocated
+        ids extend the input sequence instead of colliding with it.
         """
         # id_index is filled in document order.
         prefix = next((i for i in doc.id_index if "." in i), "").split(".", 1)[0] or "m1"
@@ -64,23 +64,6 @@ class AscriptionRegistry:
     def __init__(self) -> None:
         self.groups: tuple[dict[int, list[TargetNode]], ...] = ({}, {})
 
-    def add_tree(self, root: TargetNode, branch: Branch) -> None:
-        groups = self.groups[branch]
-        get = groups.get
-        stack = [root]
-        while stack:
-            node = stack.pop()
-            source = node.source
-            if source is None:
-                raise ValueError(f"unascribed node {node!r} reached the linker")
-            group = get(source.index)
-            if group is None:
-                groups[source.index] = [node]
-            else:
-                group.append(node)
-            if node.children:
-                stack.extend(reversed(node.children))
-
     @property
     def targets(self) -> dict[tuple[int, Branch], list[TargetNode]]:
         """Derived, read-only view: ``{(source index, branch): nodes}``,
@@ -95,11 +78,24 @@ class AscriptionRegistry:
 def build_registry(
     pmml: TargetNode | None = None, cmml: TargetNode | None = None
 ) -> AscriptionRegistry:
+    """Group the nodes of each tree given by source, in document order."""
     registry = AscriptionRegistry()
-    if pmml is not None:
-        registry.add_tree(pmml, PRESENTATION)
-    if cmml is not None:
-        registry.add_tree(cmml, CONTENT)
+    for branch, root in ((PRESENTATION, pmml), (CONTENT, cmml)):
+        groups = registry.groups[branch]
+        get = groups.get
+        stack = [] if root is None else [root]
+        while stack:
+            node = stack.pop()
+            source = node.source
+            if source is None:
+                raise ValueError(f"unascribed node {node!r} reached the linker")
+            group = get(source.index)
+            if group is None:
+                groups[source.index] = [node]
+            else:
+                group.append(node)
+            if node.children:
+                stack.extend(reversed(node.children))
     return registry
 
 

@@ -108,11 +108,14 @@ class XMathDocument:
         self.nodes: list[XMathNode] = []
         self.id_index: dict[str, XMathNode] = {}
         self._ends: dict[int, XMathNode] = {}  # ref index -> deref result
+        referring: list[XMathNode] = []  # nodes with an idref, in order
         stack = [root]  # pre-order, without a frame per level
         while stack:
             node = stack.pop()
             node.index = len(self.nodes)
             self.nodes.append(node)
+            if node.attrs.idref is not None:
+                referring.append(node)
             xml_id = node.attrs.xml_id
             if xml_id is not None:
                 if xml_id in self.id_index:
@@ -124,14 +127,13 @@ class XMathDocument:
                     )
                 self.id_index[xml_id] = node
             stack.extend(reversed(node.children))
-        for node in self.nodes:
-            idref = node.attrs.idref
-            if idref is not None and idref not in self.id_index:
+        for node in referring:
+            if node.attrs.idref not in self.id_index:
                 raise ParseError(
                     ParseErrorKind.DANGLING_IDREF,
                     node.line,
                     node.col,
-                    f"idref {idref!r} does not match any xml:id",
+                    f"idref {node.attrs.idref!r} does not match any xml:id",
                 )
 
     def resolve_ref(self, ref_node: XMathNode) -> XMathNode:

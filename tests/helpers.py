@@ -164,6 +164,30 @@ def dual_ref_chain(links: int) -> str:
     return f"<XMDual>{top}<XMDual><XMWrap>{''.join(store)}</XMWrap>{top}</XMDual></XMDual>"
 
 
+def copied_ref_chains(t_depth: int, u_depth: int, tail_depth: int) -> str:
+    """XMath whose generation overflows inside a copy of a ref's subtree.
+
+    The sum's terms are a ref to ``t``; ``t``, an application chain
+    ``t_depth`` deep ending in a ref to ``u``; ``u``, a chain ``u_depth``
+    deep; and a chain ``tail_depth`` deep ending in a ref to ``t``. The
+    first term generates ``t`` and ``u`` once, so the last term's ref copies
+    them from the deepest point of the walk.
+    """
+    level = "<XMTok role='FUNCTION' meaning='f'>f</XMTok>"
+
+    def chain(depth: int, inner: str, xml_id: str | None = None) -> str:
+        head = f"<XMApp xml:id='{xml_id}'>" if xml_id else "<XMApp>"
+        opened = head + level + ("<XMApp>" + level) * (depth - 1)
+        return opened + inner + "</XMApp>" * depth
+
+    return sum_of(
+        "<XMRef idref='t'/>",
+        chain(t_depth, "<XMRef idref='u'/>", "t"),
+        chain(u_depth, "<XMTok>x</XMTok>", "u"),
+        chain(tail_depth, "<XMRef idref='t'/>"),
+    )
+
+
 def nested_expansions(applications: int, depth: int) -> tuple[str, str]:
     """An expansion table whose one template nests ``depth`` elements deep,
     and XMath applying its meaning ``applications`` times, each inside the

@@ -10,9 +10,12 @@ import hashlib
 import time
 
 from xmathml import (
+    ConversionError,
     EntityMode,
     NodeKind,
+    ParseError,
     SerializeOptions,
+    build_content,
     build_parallel,
     build_presentation,
     check_links,
@@ -22,6 +25,8 @@ from xmathml import (
     parse_xmath,
     serialize_mathml,
 )
+import idgen
+from conftest import FIXTURES
 from helpers import (
     assert_isomorphic,
     nearest_dual_ancestor,
@@ -31,6 +36,9 @@ from helpers import (
     serialize_xmath,
     structurally_equal,
 )
+from sharegen import shared_documents
+
+GOLDEN = FIXTURES.parent.parent / "perfbench" / "golden"
 
 
 def _report(name: str) -> None:
@@ -196,17 +204,55 @@ def test_ascription_spot_checks(sum_function_xmath, quantum_xmath):
     _report("ascription spot-checks (5/5 pairs)")
 
 
+def _built_or_refused(build, doc):
+    try:
+        return build(doc)
+    except ConversionError:
+        return None
+
+
 def test_fine_to_coarse_consistency(corpus):
-    """Presentation-only output equals the presentation part of the
-    parallel output, ignoring ids and xrefs."""
+    """Each single-branch output is a projection of the parallel output.
+
+    Over the corpus, idgen and sharegen formulas and every XMath fixture
+    and golden: presentation-only output equals the parallel presentation
+    tree ids included (xrefs aside), under the same ``math`` id; content-only
+    output equals the parallel content tree ignoring ids and xrefs, since
+    alone it numbers fresh ids in content order, not after presentation;
+    and an input refused in either single mode is refused in parallel too.
+    """
+    texts = idgen.formulas(300, seed=1) + shared_documents(30)
+    for folder in (FIXTURES, GOLDEN):
+        paths = sorted(folder.glob("*.xmath.xml"))
+        texts += [path.read_text("utf-8") for path in paths]
+    docs = list(corpus)
+    for text in texts:
+        try:
+            docs.append(parse_xmath(text))
+        except ParseError:
+            pass
     matches = 0
-    for doc in corpus:
-        alone = build_presentation(doc).children[0]
-        parallel = build_parallel(doc).children[0].children[0]
-        assert same_shape(alone, parallel, ignore_attrs=("id", "xref"))
+    for doc in docs:
+        parallel = _built_or_refused(build_parallel, doc)
+        presentation = _built_or_refused(build_presentation, doc)
+        content = _built_or_refused(build_content, doc)
+        if presentation is None or content is None:
+            assert parallel is None, serialize_xmath(doc)
+        if parallel is None:
+            continue
+        semantics = parallel.children[0]
+        assert presentation.attrs["id"] == parallel.attrs["id"]
+        assert same_shape(
+            presentation.children[0], semantics.children[0], ignore_attrs=("xref",)
+        )
+        assert same_shape(
+            content.children[0],
+            semantics.children[1].children[0],
+            ignore_attrs=("id", "xref"),
+        )
         matches += 1
-    assert matches == len(corpus)
-    _report(f"fine-to-coarse consistency ({matches}/{len(corpus)})")
+    assert matches > len(corpus)
+    _report(f"fine-to-coarse consistency ({matches}/{len(docs)} built in every mode)")
 
 
 def test_round_trip_corpus(corpus):

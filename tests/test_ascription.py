@@ -9,7 +9,9 @@ from xmathml import (
     NodeKind,
     ReferenceCycleError,
     ascribe,
+    build_content,
     build_parallel,
+    build_presentation,
     check_links,
     gen_cmml,
     gen_pmml,
@@ -17,7 +19,13 @@ from xmathml import (
     parse_xmath,
     serialize_mathml,
 )
-from helpers import dual_ref_chain, nearest_dual_ancestor, parse_mathml
+from xmathml.cli import main
+from helpers import (
+    copied_ref_chains,
+    dual_ref_chain,
+    nearest_dual_ancestor,
+    parse_mathml,
+)
 from treegen import random_document
 
 
@@ -231,3 +239,25 @@ def test_dual_ref_chain_too_deep_is_located(links):
     assert "refs nested too deeply to follow" in str(error)
     assert error.line == 1
     assert text.startswith("<XMRef", error.col - 1)
+
+
+@pytest.mark.parametrize("depths", [(100, 100, 195), (150, 60, 190), (190, 50, 195)])
+def test_copied_ref_too_deep_is_located(depths, tmp_path, capsys):
+    """A ref whose subtree was made before copies it under the same
+    guard as a first visit: a copy past the interpreter's stack is a
+    located ConversionError in every mode, never a RecursionError."""
+    text = copied_ref_chains(*depths)
+    for build in (build_parallel, build_presentation, build_content):
+        try:
+            build(parse_xmath(text))
+        except ConversionError as error:
+            assert error.line > 0, build.__name__
+    source = tmp_path / "copied.xml"
+    source.write_text(text, encoding="utf-8")
+    assert main([str(source)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"{source}:1:")
+    col, rest = captured.err[len(f"{source}:1:") :].split(":", 1)
+    assert rest.startswith(" error: refs nested too deeply to follow")
+    assert text.startswith("<XMRef", int(col) - 1)

@@ -10,6 +10,7 @@ from xmathml.cli import main
 from helpers import (
     assert_isomorphic,
     dual_ref_chain,
+    find,
     nested_expansions,
     parse_mathml,
 )
@@ -64,6 +65,27 @@ def test_cmml_mode(tmp_path, capsys):
     assert code == 0
     math = parse_mathml(out)
     assert math.children[0].element == "plus"
+
+
+@pytest.mark.parametrize(
+    "mode, derived, given", [("pmml", "block", "inline"), ("cmml", None, None)]
+)
+def test_single_mode_flags(tmp_path, capsys, quantum_xmath, mode, derived, given):
+    """--to pmml honours --display and derives it when absent; --to cmml
+    writes no display. Neither writes --tex: no alttext, no annotation."""
+    source = _write(tmp_path, "input.xml", quantum_xmath)
+    plain = _run(capsys, source, "--to", mode)
+    flagged = _run(capsys, source, "--to", mode, "--tex", "T", "--display", "inline")
+    for (code, out, err), display in ((plain, derived), (flagged, given)):
+        assert (code, err) == (0, "")
+        math = parse_mathml(out)
+        assert math.attrs.get("display") == display
+        assert "alttext" not in math.attrs
+        assert all(node.element != "annotation" for node in math.iter())
+    expected = plain[1]
+    if derived is not None:
+        expected = expected.replace(f' display="{derived}"', f' display="{given}"', 1)
+    assert flagged[1] == expected
 
 
 @pytest.mark.parametrize(
@@ -221,8 +243,12 @@ def test_expansions_read_in_every_mode(tmp_path, capsys, request, mode, fixture)
         ("deep 1 " + "(a " * 2000 + "slot1" + ")" * 2000, "nesting deeper than 200"),
         # Once written out unchecked: <a<b id="m1.1.cmml" ...>, ill-formed.
         ("foo 1 (a<b slot1)", "'a<b' is not an element name"),
+        ("foo 1 )", "unexpected ')'"),
+        ("foo 1 (", "expected element name after '('"),
+        ("foo 1 (a slot0)", "slot indices start at 1"),
+        ("foo 1", "expected 'meaning arity template'"),
     ],
-    ids=["too-deep", "bad-name"],
+    ids=["too-deep", "bad-name", "close", "open", "slot0", "no-template"],
 )
 def test_expansions_refused_templates(tmp_path, capsys, rule, detail):
     table = _write(tmp_path, "rules.txt", rule + "\n")
@@ -234,6 +260,24 @@ def test_expansions_refused_templates(tmp_path, capsys, rule, detail):
     code, out, err = _run(capsys, source, "--expansions", table)
     assert (code, out) == (2, "")
     assert err == f"{table}: error: line 1: {detail}\n"
+
+
+def test_expansion_bare_element_stands_for_operator(tmp_path, capsys):
+    """A template atom with no children is the operator's element, linked
+    to the operator token like ``head``."""
+    table = _write(tmp_path, "rules.txt", "sq 1 (apply power slot1)\n")
+    source = _write(
+        tmp_path,
+        "input.xml",
+        "<XMApp><XMTok meaning='sq' role='FUNCTION'>sq</XMTok><XMTok>x</XMTok></XMApp>",
+    )
+    converted = tmp_path / "output.xml"
+    result = _run(capsys, source, "--expansions", table, "--out", str(converted))
+    assert result == (0, "", "")
+    math = parse_mathml(converted.read_text("utf-8"))
+    assert find(math, "power").attrs == {"id": "m1.2.cmml", "xref": "m1.2"}
+    assert find(math, "mi", "sq").attrs["id"] == "m1.2"
+    assert _run(capsys, str(converted), "--to", "check") == (0, "", "")
 
 
 def test_deepest_input_output_passes_check(tmp_path, capsys):
