@@ -93,10 +93,10 @@ class BranchWalk:
             target = self.doc.deref(node)
             key = target.index, -1 if container is None else container.index
             made = self._made.get(key)
-            self._active_refs.add(node.index)
             try:
                 if made is not None:
                     return _clone(made)
+                self._active_refs.add(node.index)
                 made = self._made[key] = self.walk(target, container)
             except RecursionError:
                 raise ConversionError("refs nested too deeply to follow", node) from None

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from typing import Iterable
+import sys
+from typing import Any, Callable, Iterable
 
 from xmathml import EntityMode, read_xml_tree
 from xmathml.serializer import escape_attr, escape_text
@@ -186,6 +187,34 @@ def copied_ref_chains(t_depth: int, u_depth: int, tail_depth: int) -> str:
         chain(u_depth, "<XMTok>x</XMTok>", "u"),
         chain(tail_depth, "<XMRef idref='t'/>"),
     )
+
+
+def outcomes_under_rising_limits(
+    call: Callable[[], Any],
+    done: Callable[[Any], bool] = lambda outcome: not isinstance(outcome, Exception),
+) -> list[Any]:
+    """Call ``call`` under recursion limits rising by 50 from just above
+    the caller's stack depth, until ``done`` holds for an outcome or 40
+    limits were tried, restoring the limit after each call. An outcome is
+    what the call returned or the exception it raised. The stack then
+    runs out at every depth of the call, in steps of 50 frames, whatever
+    number of frames the interpreter spends on each level."""
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    limit = sys.getrecursionlimit()
+    outcomes: list[Any] = []
+    for lowered in range(depth + 50, depth + 2_050, 50):
+        sys.setrecursionlimit(lowered)
+        try:
+            outcomes.append(call())
+        except Exception as error:
+            outcomes.append(error)
+        finally:
+            sys.setrecursionlimit(limit)
+        if done(outcomes[-1]):
+            break
+    return outcomes
 
 
 def nested_expansions(applications: int, depth: int) -> tuple[str, str]:
