@@ -54,12 +54,13 @@ class BranchWalk:
 
     Duals descend into the walk's own branch and become the container of
     their subtree. A ref chain is chased in one step to its end, with the
-    ref's own container kept in force; a ref met again on the current path
-    raises ReferenceCycleError. The subtree a ref leads to is generated
-    once per (target, container) pair and copied on later visits; a ref
-    whose generation or copy runs past the interpreter's stack raises
-    ConversionError. Subclasses set ``branch`` and supply ``token`` (a
-    token's unascribed element), ``wrap`` and ``apply`` (a non-empty XMApp).
+    ref's own container kept in force. The subtree a ref leads to is
+    generated once per (target, container) pair and copied on later
+    visits; a ref to a pair still being generated closes a cycle and
+    raises ReferenceCycleError. A ref whose generation or copy runs past
+    the interpreter's stack raises ConversionError. Subclasses set
+    ``branch`` and supply ``token`` (a token's unascribed element),
+    ``wrap`` and ``apply`` (a non-empty XMApp).
     """
 
     branch: Branch
@@ -67,9 +68,9 @@ class BranchWalk:
     def __init__(self, doc: XMathDocument, vis: VisibilityMap):
         self.doc = doc
         self.vis = vis
-        self._active_refs: set[int] = set()
-        # (ref target index, container index or -1) -> first subtree made.
-        self._made: dict[tuple[int, int], TargetNode] = {}
+        # (ref target index, container index or -1) -> first subtree made,
+        # or None while it is being made.
+        self._made: dict[tuple[int, int], TargetNode | None] = {}
 
     def target(
         self,
@@ -88,20 +89,18 @@ class BranchWalk:
         if kind is DUAL:
             return self.walk(node.children[self.branch], node)
         if kind is REF:
-            if node.index in self._active_refs:
-                raise ReferenceCycleError("reference cycle via idref", node)
             target = self.doc.deref(node)
             key = target.index, -1 if container is None else container.index
             made = self._made.get(key)
             try:
                 if made is not None:
                     return _clone(made)
-                self._active_refs.add(node.index)
+                if key in self._made:  # still being generated: a cycle
+                    raise ReferenceCycleError("reference cycle via idref", node)
+                self._made[key] = None
                 made = self._made[key] = self.walk(target, container)
             except RecursionError:
                 raise ConversionError("refs nested too deeply to follow", node) from None
-            finally:
-                self._active_refs.discard(node.index)
             return made
         if kind is TOK:
             return self.target(self.token(node), node, container, False)

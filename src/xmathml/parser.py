@@ -2,9 +2,9 @@
 
 Both readers are built directly on expat, so that every diagnostic carries
 a line/column, and both build their nodes in the expat callbacks, in one
-pass over the text. Named entities are substituted before expat starts,
-and each column is moved back into the text as written when it is
-recorded. Element names are accepted with or without a namespace prefix;
+pass over the text. Named entities are declared to expat in a foreign
+DTD, so expat reads the text as written and counts every position in it.
+Element names are accepted with or without a namespace prefix;
 the local name decides the node kind.
 """
 
@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import re
 import xml.parsers.expat
-from bisect import bisect_left
 from html.entities import html5
 
 from .errors import ParseError, ParseErrorKind
@@ -22,20 +21,20 @@ from .model import ELEMENT_KINDS, NodeKind, SemanticAttrs, XMathDocument, XMathN
 #: Wrapper elements tolerated around the actual XMath root.
 WRAPPER_ELEMENTS = frozenset({"Math", "XMath"})
 
-#: The HTML5/MathML named characters, less those unsafe to substitute before
-#: expat reads the text: markup, tab, newline and two-character values.
+#: The HTML5/MathML named characters, less those whose value holds markup, a
+#: tab or a newline, or is two characters long.
 NAMED_ENTITIES: dict[str, str] = {
     name[:-1]: value
     for name, value in html5.items()
     if name[-1] == ";" and len(value) == 1 and value not in "<>&\"'\t\n"
 }
 
-# A CDATA section, or a comment (which may hold "<![CDATA["), matches as a
-# whole with no name, so the entities inside stay as written.
-_ENTITY_RE = re.compile(
-    r"<!--.*?-->|<!\[CDATA\[.*?]]>|&([A-Za-z][A-Za-z0-9]*);", re.S
-)
-_LINE_BREAK = re.compile(r"\r\n?|\n")  # what expat counts as a new line
+# Broad on purpose: once expat has read a DTD it skips a reference to an
+# undeclared name, so every name the text could refer to is declared.
+_ENTITY_NAME = re.compile(r"&([^\s&;<>\"'#%]+);")
+_BUILT_IN = frozenset({"lt", "gt", "amp", "quot", "apos"})
+_errors = xml.parsers.expat.errors
+_UNLESS_STANDALONE = xml.parsers.expat.XML_PARAM_ENTITY_PARSING_UNLESS_STANDALONE
 
 #: Formulas are desk-scale; deeper nesting is rejected rather than risking
 #: recursion failures in the tree passes.
@@ -51,50 +50,18 @@ def _located(parser, detail: str) -> ParseError:
     return ParseError(ParseErrorKind.MALFORMED_XML, line, col, detail)
 
 
-def _substitute(text: str) -> tuple[str, dict]:
-    """Replace the known named entities outside CDATA sections and
-    comments, before expat reads the text (expat knows only the five XML
-    built-ins). Per line with a replacement, also give the 1-based columns
-    of the replacements in the new text and the columns removed up to and
-    including each; a text without ``&`` comes back as it is, with none."""
-    if "&" not in text:
-        return text, {}
-    pieces, shifts = [], {}
-    line, line_start, last, removed = 1, 0, 0, 0
-    for match in _ENTITY_RE.finditer(text):
-        value = NAMED_ENTITIES.get(match.group(1))
-        if value is not None:
-            start = match.start()
-            for brk in _LINE_BREAK.finditer(text, last, start):
-                line, line_start, removed = line + 1, brk.end(), 0
-            cols, totals = shifts.setdefault(line, ([], []))
-            cols.append(start - line_start - removed + 1)
-            removed += len(match.group()) - 1
-            totals.append(removed)
-            pieces += (text[last:start], value)
-            last = match.end()
-    pieces.append(text[last:])
-    return "".join(pieces), shifts
-
-
-def _source_col(shifts: dict, line: int, col: int) -> int:
-    """The column in the text as given of a column in the substituted text."""
-    cols, totals = shifts.get(line, ((), ()))
-    before = bisect_left(cols, col)  # replacements left of col
-    return col + totals[before - 1] if before else col
-
-
-def _read(parser, text: str, shifts: dict, start, end, chars) -> None:
-    """Run a fresh expat ``parser`` over the substituted ``text`` with the
-    reader's checks.
+def _read(parser, text: str, start, end, chars) -> None:
+    """Run a fresh expat ``parser`` over ``text`` with the reader's checks.
 
     The handlers are installed directly, one Python frame per event; each
     reads the parser's position only when it needs one, and ``start``
     refuses nesting beyond the reader's depth limit (``_TOO_DEEP``).
-    Document type declarations are refused. Every refusal is a located
-    MALFORMED_XML, its column moved back past the substituted entities
-    (``shifts``, from ``_substitute``) into the text as written.
+    Document type declarations are refused. Each entity name the text
+    refers to is declared in a foreign DTD, which expat reads unless the
+    text says ``standalone="yes"``; expat then counts every position in
+    the text as written. Every refusal is a located MALFORMED_XML.
     """
+    names = set(_ENTITY_NAME.findall(text)) - _BUILT_IN if "&" in text else ()
 
     def doctype(*_args) -> None:
         # Inline DTDs allow unbounded entity amplification; formula files
@@ -105,22 +72,42 @@ def _read(parser, text: str, shifts: dict, start, end, chars) -> None:
     parser.EndElementHandler = end
     parser.CharacterDataHandler = chars
     parser.StartDoctypeDeclHandler = doctype
+    if names:  # with none, expat reads no DTD and the text pays nothing
+
+        def declare(*_args) -> int:
+            # A known name stands for its character reference, any other
+            # for itself, so that expat refuses its use where it refuses an
+            # undeclared entity. A string that is no XML name fails its own
+            # declaration, and expat refuses its reference in the text.
+            for name in names:
+                value = NAMED_ENTITIES.get(name)
+                value = f"&#{ord(value)};" if value else f"&{name};"
+                try:
+                    parser.ExternalEntityParserCreate(None).Parse(
+                        f'<!ENTITY {name} "{value}">', True
+                    )
+                except xml.parsers.expat.ExpatError:
+                    pass
+            return 1
+
+        parser.SetParamEntityParsing(_UNLESS_STANDALONE)
+        parser.UseForeignDTD(True)
+        parser.ExternalEntityRefHandler = declare
     try:
         parser.Parse(text, True)
     except xml.parsers.expat.ExpatError as exc:
-        line, col = exc.lineno, exc.offset + 1
-        detail = xml.parsers.expat.errors.messages[exc.code]
-    except ParseError as exc:  # raised by a handler
-        line, col, detail = exc.line, exc.col, exc.detail
-    else:
-        return
+        detail = _errors.messages[exc.code]
+        if detail == _errors.XML_ERROR_RECURSIVE_ENTITY_REF:  # declared as itself
+            detail = _errors.XML_ERROR_UNDEFINED_ENTITY
+        raise ParseError(
+            ParseErrorKind.MALFORMED_XML, exc.lineno, exc.offset + 1, detail
+        ) from None
     finally:
         # The handlers close over the parser; unset, the parser and all
         # they hold are freed on return instead of by the cyclic collector.
         parser.StartElementHandler = parser.EndElementHandler = None
         parser.CharacterDataHandler = parser.StartDoctypeDeclHandler = None
-    col = _source_col(shifts, line, col)
-    raise ParseError(ParseErrorKind.MALFORMED_XML, line, col, detail) from None
+        parser.ExternalEntityRefHandler = None
 
 
 def read_xml_tree(text: str) -> TargetNode:
@@ -155,7 +142,7 @@ def read_xml_tree(text: str) -> TargetNode:
     def chars(data: str) -> None:
         stack[-1].text += data
 
-    _read(parser, *_substitute(text), start, end, chars)
+    _read(parser, text, start, end, chars)
     return document.children[0]  # expat refuses a text without an element
 
 
@@ -179,7 +166,6 @@ def parse_xmath(text: str) -> XMathDocument:
     # callback.
     TOK, REF, DUAL = NodeKind.TOK, NodeKind.REF, NodeKind.DUAL
     parser = xml.parsers.expat.ParserCreate()
-    text, shifts = _substitute(text)
     top: list[XMathNode] = []
     stack: list[XMathNode] = []
     # Math/XMath wrappers and unknown elements open as placeholder nodes
@@ -204,8 +190,6 @@ def parse_xmath(text: str) -> XMathDocument:
         if depth >= MAX_NESTING_DEPTH:
             raise _located(parser, _TOO_DEEP.format(MAX_NESTING_DEPTH))
         line, col = parser.CurrentLineNumber, parser.CurrentColumnNumber + 1
-        if shifts:
-            col = _source_col(shifts, line, col)
         kind = _kind_of(name) or _kind_of(name.rpartition(":")[2])
         if kind is not None:
             sem = SemanticAttrs()
@@ -303,10 +287,9 @@ def parse_xmath(text: str) -> XMathDocument:
             # Unbuffered, a run holds no line break: skip its leading spaces.
             line = parser.CurrentLineNumber
             col = parser.CurrentColumnNumber + 1 + len(data) - len(data.lstrip(" \t\r\n"))
-            col = _source_col(shifts, line, col)
             hold(node, 2, line, col, f"text content not allowed inside {local}")
 
-    _read(parser, text, shifts, start, end, chars)
+    _read(parser, text, start, end, chars)
     if faults:
         raise ParseError(*min(faults)[4:])
     root = top[0]

@@ -188,6 +188,23 @@ def test_reference_cycle_is_located(text, generate):
         build_parallel(doc)
 
 
+@pytest.mark.parametrize("build", [build_parallel, build_presentation, build_content])
+def test_cycle_entered_through_a_third_ref_is_located(build):
+    # r1 leads to t, whose ref ra leads to u, whose ref r2 leads back to t:
+    # r2 closes the cycle, though ra is the first ref the walk meets twice.
+    text = (
+        "<XMApp><XMTok role='ADDOP' meaning='plus'>+</XMTok>"
+        "<XMRef xml:id='r1' idref='t'/>"
+        "<XMApp xml:id='t'><XMTok meaning='f'/><XMRef xml:id='ra' idref='u'/></XMApp>"
+        "<XMApp xml:id='u'><XMTok meaning='g'/><XMRef xml:id='r2' idref='t'/></XMApp>"
+        "</XMApp>"
+    )
+    with pytest.raises(ReferenceCycleError) as excinfo:
+        build(parse_xmath(text))
+    assert (excinfo.value.line, excinfo.value.col) == (1, 196)
+    assert text.index("<XMRef xml:id='r2'") + 1 == 196
+
+
 def _ref_chain(links: int) -> str:
     """A sum whose first term is a ref leading to the token ``r0`` through
     ``links`` refs, each a later term of the sum, so the walks meet the

@@ -369,6 +369,27 @@ def test_check_mode_rejects_non_parallel(tmp_path, capsys):
     assert "parallel" in err or "semantics" in err
 
 
+@pytest.mark.parametrize(
+    "text, detail",
+    [
+        ("<mrow/>", "expected a math element"),
+        ("<math><semantics><mi>x</mi></semantics></math>", "not a parallel markup instance"),
+    ],
+)
+def test_check_mode_refuses_other_shapes(tmp_path, capsys, text, detail):
+    path = _write(tmp_path, "other.xml", text)
+    code, out, err = _run(capsys, path, "--to", "check")
+    assert (code, out, err) == (2, "", f"{path}: error: {detail}\n")
+
+
+def test_output_into_missing_directory_is_reported(tmp_path, capsys, sum_function_xmath):
+    source = _write(tmp_path, "input.xml", sum_function_xmath)
+    out_path = str(tmp_path / "missing" / "result.xml")
+    code, out, err = _run(capsys, source, "--out", out_path)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"{out_path}: error: ")
+
+
 def test_missing_file_is_reported(capsys):
     code, _, err = _run(capsys, "/nonexistent/file.xml")
     assert code == 2

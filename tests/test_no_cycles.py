@@ -27,7 +27,11 @@ from sharegen import shared_documents
 from treegen import make_corpus
 
 _INPUTS = (
-    [fixture_text("sum_function.xmath.xml"), fixture_text("quantum_defint.xmath.xml")]
+    [
+        fixture_text("sum_function.xmath.xml"),
+        fixture_text("quantum_defint.xmath.xml"),
+        fixture_text("named_entities.xmath.xml"),  # read with a foreign DTD
+    ]
     + [serialize_xmath(doc) for doc in make_corpus(8, seed=20261019)]
     + shared_documents(8, seed=20261019)
     + [sum_of(bra_ket_chain("p1", 3))]
@@ -136,4 +140,5 @@ def test_check_path():
 
     outputs = [serialize_mathml(math) for math in map(_converted, _INPUTS) if math]
     outputs.append(outputs[0].replace("</math>", ""))  # refused by the reader
+    outputs.append(fixture_text("quantum_defint.mathml.xml"))  # named entities
     assert [cyclic_garbage(check, text) for text in outputs] == [0] * len(outputs)

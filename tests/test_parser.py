@@ -251,7 +251,7 @@ def test_nesting_depth_cap():
         ("", (1, 1, "no element found")),
         ("  \n", (2, 1, "no element found")),
         ("<math><mo>&Foo;</mo></math>", (1, 11, "undefined entity")),
-        # Columns after a substituted named entity count the entity as written.
+        # Columns after a named entity count the entity as written.
         (
             "<math><mo>&InvisibleTimes;</mo><mi>&Foo;</mi></math>",
             (1, 36, "undefined entity"),
@@ -320,7 +320,7 @@ def test_standard_entities_are_resolved():
     mo, mi = root.children
     assert (mo.text, mi.attrs["a"]) == ("\u2192", "\u00b1")
     assert read_xml_tree("<mo>]]&gt;</mo>").text == "]]>"
-    # Columns after a substituted entity count the entity as written.
+    # Columns after a named entity count the entity as written.
     text = '<math><mo>&rarr;</mo><mi a="&PlusMinus;">&Foo;</mi></math>'
     with pytest.raises(ParseError) as excinfo:
         read_xml_tree(text)
@@ -368,7 +368,7 @@ def test_cdata_keeps_entities_as_written(read, text_of):
 @pytest.mark.parametrize("read", [read_xml_tree, parse_xmath])
 def test_unsafe_entities_stay_undefined(read, text, expected):
     """Values that are markup, a tab, a newline or two characters are not
-    substituted; each name is refused where it was before the HTML5 table."""
+    defined; each name is refused where it was before the HTML5 table."""
     with pytest.raises(ParseError) as excinfo:
         read(text)
     err = excinfo.value
@@ -377,6 +377,51 @@ def test_unsafe_entities_stay_undefined(read, text, expected):
         *expected,
         "undefined entity",
     )
+
+
+_STANDALONE = '<?xml version="1.0" standalone="{}"?>\n'
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        # Every name the text uses is declared: an unknown one beside a
+        # known one is refused where it is used, never skipped.
+        ("<XMTok>&alpha;&foo_bar;</XMTok>", (1, 15, "undefined entity")),
+        ("<XMTok meaning='a&foo_bar;'>&alpha;</XMTok>", (1, 1, "undefined entity")),
+        # Positions are expat's own, in the text as written.
+        ("&alpha;<XMTok/>", (1, 1, "not well-formed (invalid token)")),
+        ("<XMTok meaning='&x&alpha;'>x</XMTok>", (1, 19, "not well-formed (invalid token)")),
+        # A standalone document reads no declarations (XML 1.0, WFC:
+        # Entity Declared), so a named character is undefined there.
+        (_STANDALONE.format("yes") + "<XMTok>&alpha;</XMTok>", (2, 8, "undefined entity")),
+        (
+            _STANDALONE.format("yes") + "<XMTok meaning='&alpha;'>a</XMTok>",
+            (2, 1, "undefined entity"),
+        ),
+    ],
+)
+@pytest.mark.parametrize("read", [read_xml_tree, parse_xmath])
+def test_declared_entities_refusals(read, text, expected):
+    with pytest.raises(ParseError) as excinfo:
+        read(text)
+    err = excinfo.value
+    assert (err.kind, err.line, err.col, err.detail) == (
+        ParseErrorKind.MALFORMED_XML,
+        *expected,
+    )
+
+
+@pytest.mark.parametrize(
+    "read, text_of",
+    [(read_xml_tree, lambda raw: raw.text), (parse_xmath, lambda doc: doc.root.text)],
+    ids=["read_xml_tree", "parse_xmath"],
+)
+def test_standalone_documents_read(read, text_of):
+    tok = read(_STANDALONE.format("no") + "<XMTok>&alpha;</XMTok>")
+    assert text_of(tok) == "α"
+    tok = read(_STANDALONE.format("yes") + "<XMTok>&amp;&#945;</XMTok>")
+    assert text_of(tok) == "&α"
 
 
 def _position(text: str, marker: str, occurrence: int = 0) -> tuple[int, int]:
@@ -406,7 +451,7 @@ def _position(text: str, marker: str, occurrence: int = 0) -> tuple[int, int]:
         ),
         (
             # ... at its first non-space character, past line breaks,
-            # references and substituted entities.
+            # references and named entities.
             "<XMDual><XMTok/>\n y<XMTok/></XMDual>",
             "y",
             ParseErrorKind.MALFORMED_XML,
@@ -469,8 +514,7 @@ def _position(text: str, marker: str, occurrence: int = 0) -> tuple[int, int]:
             "XMDual must have exactly 2 children, found 3",
         ),
         (
-            # Inside the wrappers, whose own columns are moved past
-            # entities in their attributes.
+            # Inside the wrappers, whose attributes hold entities.
             "<Math alttext='&alpha;'><XMath><XMTok>&beta;</XMTok>\n&gamma; junk</XMath></Math>",
             "&gamma;",
             ParseErrorKind.MALFORMED_XML,
@@ -491,7 +535,7 @@ def _position(text: str, marker: str, occurrence: int = 0) -> tuple[int, int]:
     ],
 )
 def test_fault_positions_after_named_entities(text, marker, kind, detail):
-    """A fault after a substituted entity is located in the text as written."""
+    """A fault after a named entity is located in the text as written."""
     with pytest.raises(ParseError) as excinfo:
         parse_xmath(text)
     err = excinfo.value

@@ -98,6 +98,12 @@ def test_token_normal_font():
     assert token_to_pmml(_tok("x", role="ID", font="italic")).attrs == {}
 
 
+def test_italic_font_kept_on_several_letters():
+    # A single letter is italic by default; several need mathvariant.
+    (mi,) = _pres_tree(parse_xmath("<XMTok font='italic'>ab</XMTok>")).iter()
+    assert (mi.element, mi.text, mi.attrs) == ("mi", "ab", {"mathvariant": "italic"})
+
+
 def test_token_intop():
     built = token_to_pmml(
         _tok("∫", role="INTOP", meaning="integral", mathstyle="display")
