@@ -79,14 +79,11 @@ def run(args: argparse.Namespace) -> int:
         where = f"{name}:{exc.line}:{exc.col}" if exc.line else name
         print(f"{where}: error: {exc.detail}", file=sys.stderr)
         return 2
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"{name}: error: {exc}", file=sys.stderr)
         return 2
     except RecursionError:
         print(f"{name}: error: formula too deeply self-referential", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"{name}: error: {exc}", file=sys.stderr)
         return 2
 
     options = SerializeOptions(

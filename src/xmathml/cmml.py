@@ -78,49 +78,49 @@ _SLOT = re.compile(r"slot(\d+)$")
 _ELEMENT_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9._-]*")
 
 
+def _element_name(token: str, context: str) -> str:
+    if not _ELEMENT_NAME.fullmatch(token):
+        raise ValueError(f"{context}: {token!r} is not an element name")
+    return token
+
+
 def _parse_template(text: str, context: str) -> Term:
-    tokens = _TEMPLATE_TOKEN.findall(text)
-    depth = 0
-    for token in tokens:  # parse() below recurses once per nesting level
-        depth += (token == "(") - (token == ")")
-        if depth > MAX_NESTING_DEPTH:
-            raise ValueError(f"{context}: nesting deeper than {MAX_NESTING_DEPTH}")
-        if token not in ("(", ")") and not _ELEMENT_NAME.fullmatch(token):
-            raise ValueError(f"{context}: {token!r} is not an element name")
-    pos = 0
-
-    def parse() -> Term:
-        nonlocal pos
-        token = tokens[pos]
-        pos += 1
+    """Read one template term in one pass over its tokens, with the open
+    elements and their children so far on a stack. The first fault in
+    reading order is the one reported."""
+    tokens = iter(_TEMPLATE_TOKEN.findall(text))
+    top: list[Term] = []  # the template's term, once it is complete
+    open_elements: list[tuple[str, list[Term]]] = [("", top)]
+    for token in tokens:
+        if token not in ("(", ")"):
+            _element_name(token, context)
         if token == ")":
-            raise ValueError(f"{context}: unexpected ')'")
-        if token == "(":
-            if pos >= len(tokens) or tokens[pos] in ("(", ")"):
+            if len(open_elements) == 1:
+                raise ValueError(f"{context}: unexpected ')'")
+            name, children = open_elements.pop()
+            term = ("elem", name, tuple(children))
+        elif top:
+            raise ValueError(f"{context}: trailing tokens after template")
+        elif token == "(":
+            if len(open_elements) > MAX_NESTING_DEPTH:
+                raise ValueError(f"{context}: nesting deeper than {MAX_NESTING_DEPTH}")
+            name = next(tokens, ")")
+            if name in ("(", ")"):
                 raise ValueError(f"{context}: expected element name after '('")
-            name = tokens[pos]
-            pos += 1
-            children = []
-            while pos < len(tokens) and tokens[pos] != ")":
-                children.append(parse())
-            if pos >= len(tokens):
-                raise ValueError(f"{context}: missing ')'")
-            pos += 1
-            return ("elem", name, tuple(children))
-        if token == "head":
-            return ("head",)
-        slot = _SLOT.match(token)
-        if slot:
-            index = int(slot.group(1))
-            if index < 1:
+            open_elements.append((_element_name(name, context), []))
+            continue
+        elif token == "head":
+            term = ("head",)
+        elif slot := _SLOT.match(token):
+            if int(slot.group(1)) < 1:
                 raise ValueError(f"{context}: slot indices start at 1")
-            return ("slot", index)
-        return ("elem", token, ())
-
-    term = parse()
-    if pos != len(tokens):
-        raise ValueError(f"{context}: trailing tokens after template")
-    return term
+            term = ("slot", int(slot.group(1)))
+        else:
+            term = ("elem", token, ())
+        open_elements[-1][1].append(term)
+    if len(open_elements) > 1:
+        raise ValueError(f"{context}: missing ')'")
+    return top[0]
 
 
 def load_expansion_table(text: str) -> dict[str, ExpansionRule]:

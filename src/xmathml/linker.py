@@ -23,6 +23,8 @@ CONTENT_ID_SUFFIX = ".cmml"
 _BRANCH_ORDER = (PRESENTATION, CONTENT)
 _DUPLICATE = "id {!r} appears more than once"
 _LOWERCASE = "abcdefghijklmnopqrstuvwxyz"  # importing string costs ~1.5 ms
+#: The characters outside XML 1.0's Char production.
+_NOT_XML_CHAR = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
 
 
 @dataclass
@@ -200,16 +202,10 @@ def assemble_parallel(
     The math/semantics/annotation-xml/annotation wrappers take, in that
     order, the first of prefix, prefix+a, prefix+b, ... not among
     ``scheme.issued``, and never carry xrefs. The TeX annotation (and
-    alttext) appear only when tex is given.
+    alttext) appear only when tex is given. A tex or display that XML
+    cannot hold raises ValueError.
     """
     math_id, semantics_id, content_id, tex_id = _free_ids(scheme, 4)
-    math_attrs: dict[str, str] = {"id": math_id}
-    if display is not None:
-        math_attrs["display"] = display
-    if tex is not None:
-        math_attrs["alttext"] = tex
-    math_attrs["class"] = "ltx_Math"
-
     semantics = TargetNode("semantics", {"id": semantics_id}, [pmml])
     annotation_xml = TargetNode(
         "annotation-xml", {"id": content_id, "encoding": "MathML-Content"}, [cmml]
@@ -218,7 +214,7 @@ def assemble_parallel(
     if tex is not None:
         annotation = {"id": tex_id, "encoding": "application/x-tex"}
         semantics.children.append(TargetNode("annotation", annotation, text=tex))
-    return TargetNode("math", math_attrs, [semantics])
+    return _math(semantics, math_id, display, tex)
 
 
 def assemble_single(
@@ -228,11 +224,20 @@ def assemble_single(
     scheme: IdScheme,
 ) -> TargetNode:
     """Wrap a single-branch tree (ids, no xrefs) into a bare math element."""
-    attrs: dict[str, str] = {"id": _free_ids(scheme, 1)[0]}
-    if display is not None:
-        attrs["display"] = display
-    attrs["class"] = "ltx_Math"
-    return TargetNode("math", attrs, [root])
+    return _math(root, _free_ids(scheme, 1)[0], display, None)
+
+
+def _math(
+    child: TargetNode, math_id: str, display: str | None, tex: str | None
+) -> TargetNode:
+    """The outer math element. A display or tex holding a character outside
+    XML 1.0's Char production raises ValueError naming it."""
+    for name, value in (("display", display), ("tex", tex)):
+        bad = value and _NOT_XML_CHAR.search(value)
+        if bad:
+            raise ValueError(f"{name} holds U+{ord(bad[0]):04X}, which XML cannot hold")
+    attrs = {"id": math_id, "display": display, "alttext": tex, "class": "ltx_Math"}
+    return TargetNode("math", {k: v for k, v in attrs.items() if v is not None}, [child])
 
 
 # -- link contract validation -----------------------------------------------

@@ -97,13 +97,29 @@ class _Walk(BranchWalk):
         op = self.doc.deref(op_node)
         role = op.attrs.role if op.kind is TOK else None
 
+        element = "mrow"
         if role in ("SUPERSCRIPTOP", "SUBSCRIPTOP") and len(args) == 2:
-            return self._script(app, op, args, container)
-        if role in INFIX_ROLES and len(args) >= 2:
+            # The script operator tokens never produce output. An msub under
+            # an msup with the same scriptpos fuses into one msubsup.
+            element = "msup" if role == "SUPERSCRIPTOP" else "msub"
+            inner = self.doc.deref(args[0]) if element == "msup" else None
+            if inner is not None and inner.kind is APP and len(inner.children) == 3:
+                inner_op = self.doc.deref(inner.children[0])
+                if (
+                    inner_op.kind is TOK
+                    and inner_op.attrs.role == "SUBSCRIPTOP"
+                    and inner_op.attrs.scriptpos == op.attrs.scriptpos
+                ):
+                    element, args = "msubsup", [*inner.children[1:], args[1]]
+            children = [self.walk(arg, container) for arg in args]
+        elif role in INFIX_ROLES and len(args) >= 2:
             children = []
             for i, arg in enumerate(args):
-                if i:
-                    children.append(self._infix_operator(op, container))
+                if i:  # one operator token per argument gap
+                    gap = token_to_pmml(op)
+                    if not gap.text and role == "MULOP" and op.attrs.meaning == "times":
+                        gap.text = INVISIBLE_TIMES
+                    children.append(self.target(gap, op, container, False))
                 children.append(self.walk(arg, container))
         else:
             # Prefix layout covers functions, differential operators, large
@@ -113,57 +129,4 @@ class _Walk(BranchWalk):
                 af = TargetNode("mo", text=APPLY_FUNCTION)
                 children.append(self.target(af, app, container, False))
             children.extend(self.walk(arg, container) for arg in args)
-        return self.target(TargetNode("mrow", {}, children), app, container, True)
-
-    def _infix_operator(
-        self, op: XMathNode, container: XMathNode | None
-    ) -> TargetNode:
-        built = token_to_pmml(op)
-        if not built.text and op.attrs.role == "MULOP" and op.attrs.meaning == "times":
-            built.text = INVISIBLE_TIMES
-        return self.target(built, op, container, False)
-
-    def _script(
-        self,
-        app: XMathNode,
-        op: XMathNode,
-        args: list[XMathNode],
-        container: XMathNode | None,
-    ) -> TargetNode:
-        base, script = args
-        if op.attrs.role == "SUPERSCRIPTOP":
-            fused = self._try_fuse(app, op, base, script, container)
-            if fused is not None:
-                return fused
-            element = "msup"
-        else:
-            element = "msub"
-        children = [self.walk(base, container), self.walk(script, container)]
         return self.target(TargetNode(element, {}, children), app, container, True)
-
-    def _try_fuse(
-        self,
-        app: XMathNode,
-        op: XMathNode,
-        base: XMathNode,
-        script: XMathNode,
-        container: XMathNode | None,
-    ) -> TargetNode | None:
-        """msub nested under msup collapses to msubsup (compatible scripts).
-
-        The script operator tokens themselves never produce output.
-        """
-        inner = self.doc.deref(base)
-        if inner.kind is not APP or len(inner.children) != 3:
-            return None
-        inner_op = self.doc.deref(inner.children[0])
-        if inner_op.kind is not TOK or inner_op.attrs.role != "SUBSCRIPTOP":
-            return None
-        if inner_op.attrs.scriptpos != op.attrs.scriptpos:
-            return None
-        children = [
-            self.walk(inner.children[1], container),
-            self.walk(inner.children[2], container),
-            self.walk(script, container),
-        ]
-        return self.target(TargetNode("msubsup", {}, children), app, container, True)

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from xmathml import ConversionError, build_parallel, parse_xmath
+from xmathml import ConversionError, build_parallel, build_presentation, parse_xmath
 from xmathml.cli import main
 from helpers import (
     assert_isomorphic,
@@ -247,8 +247,20 @@ def test_expansions_read_in_every_mode(tmp_path, capsys, request, mode, fixture)
         ("foo 1 (", "expected element name after '('"),
         ("foo 1 (a slot0)", "slot indices start at 1"),
         ("foo 1", "expected 'meaning arity template'"),
+        # The first fault in reading order is the one reported.
+        ("foo 1 (a slot0 b<c)", "slot indices start at 1"),
+        ("foo 1 (a slot1) )", "unexpected ')'"),
     ],
-    ids=["too-deep", "bad-name", "close", "open", "slot0", "no-template"],
+    ids=[
+        "too-deep",
+        "bad-name",
+        "close",
+        "open",
+        "slot0",
+        "no-template",
+        "slot0-before-bad-name",
+        "close-after-template",
+    ],
 )
 def test_expansions_refused_templates(tmp_path, capsys, rule, detail):
     table = _write(tmp_path, "rules.txt", rule + "\n")
@@ -388,6 +400,49 @@ def test_output_into_missing_directory_is_reported(tmp_path, capsys, sum_functio
     code, out, err = _run(capsys, source, "--out", out_path)
     assert (code, out) == (2, "")
     assert err.startswith(f"{out_path}: error: ")
+
+
+@pytest.mark.parametrize(
+    "tex, point",
+    [
+        ("a\x01b", "U+0001"),
+        # How Python decodes the byte 0xFF of a POSIX command line.
+        ("a\udcffb", "U+DCFF"),
+        ("a\ufffeb", "U+FFFE"),
+    ],
+    ids=["control", "undecodable-byte", "non-character"],
+)
+def test_tex_that_xml_cannot_hold_is_refused(
+    tmp_path, capsys, sum_function_xmath, tex, point
+):
+    source = _write(tmp_path, "input.xml", sum_function_xmath)
+    out_path = tmp_path / "result.xml"
+    code, out, err = _run(capsys, source, "--tex", tex, "--out", str(out_path))
+    assert (code, out) == (2, "")
+    assert err == f"{source}: error: tex holds {point}, which XML cannot hold\n"
+    assert not out_path.exists()
+
+
+def test_tex_whitespace_and_astral_characters_kept(
+    tmp_path, capsys, sum_function_xmath
+):
+    source = _write(tmp_path, "input.xml", sum_function_xmath)
+    out_path = tmp_path / "result.xml"
+    tex = "a\tb\nc\rd & \U0001d49c"
+    assert _run(capsys, source, "--tex", tex, "--out", str(out_path)) == (0, "", "")
+    math = parse_mathml(out_path.read_text("utf-8"))
+    assert math.attrs["alttext"] == tex
+    assert _run(capsys, str(out_path), "--to", "check") == (0, "", "")
+
+
+def test_library_refuses_tex_and_display_that_xml_cannot_hold(sum_function_xmath):
+    doc = parse_xmath(sum_function_xmath)
+    with pytest.raises(ValueError, match=r"^tex holds U\+0001, which XML cannot hold$"):
+        build_parallel(doc, tex="a\x01b")
+    with pytest.raises(ValueError, match=r"^display holds U\+DCFF, "):
+        build_parallel(doc, display="\udcff")
+    with pytest.raises(ValueError, match=r"^display holds U\+001B, "):
+        build_presentation(doc, display="\x1b")
 
 
 def test_missing_file_is_reported(capsys):

@@ -399,6 +399,12 @@ _STANDALONE = '<?xml version="1.0" standalone="{}"?>\n'
             _STANDALONE.format("yes") + "<XMTok meaning='&alpha;'>a</XMTok>",
             (2, 1, "undefined entity"),
         ),
+        # A used string that is no XML name fails its own declaration, and
+        # expat refuses its reference; a known name beside it still reads.
+        ("<XMTok>&1x;</XMTok>", (1, 9, "not well-formed (invalid token)")),
+        ('<XMTok meaning="&1x;">a</XMTok>', (1, 18, "not well-formed (invalid token)")),
+        ("<XMTok>&alpha;&1x;</XMTok>", (1, 16, "not well-formed (invalid token)")),
+        ("<XMTok>&1x;&alpha;</XMTok>", (1, 9, "not well-formed (invalid token)")),
     ],
 )
 @pytest.mark.parametrize("read", [read_xml_tree, parse_xmath])

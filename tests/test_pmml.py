@@ -9,9 +9,14 @@ from hypothesis import strategies as st
 from xmathml import (
     NodeKind,
     XMathDocument,
+    build_parallel,
+    build_presentation,
+    check_links,
     gen_pmml,
     mark_visibility,
     parse_xmath,
+    read_xml_tree,
+    serialize_mathml,
     token_to_pmml,
 )
 from xmathml.errors import MalformedApplyError
@@ -162,6 +167,54 @@ def test_msubsup_fusion_unit():
     assert tree.element == "msubsup"
     assert [c.element for c in tree.children] == ["mo", "mi", "mi"]
     assert [c.text for c in tree.children] == ["∫", "a", "b"]
+
+
+_X_SUB_I = (
+    "<XMApp{base_id}><XMTok xml:id='sub' role='SUBSCRIPTOP' scriptpos='post1'/>"
+    "<XMTok xml:id='x'>x</XMTok><XMTok xml:id='i'>i</XMTok></XMApp>"
+)
+_POWER_OF_X_SUB_I = (
+    "<XMDual><XMApp><XMTok meaning='power'/>{base}<XMTok xml:id='n'>2</XMTok></XMApp>"
+    "<XMApp><XMTok role='SUPERSCRIPTOP' scriptpos='post1'/>{shown}"
+    "<XMRef idref='n'/></XMApp></XMDual>"
+)
+
+
+@pytest.mark.parametrize(
+    "xmath",
+    [
+        # The subscript operator is reached through a ref.
+        _POWER_OF_X_SUB_I.format(
+            base=_X_SUB_I.format(base_id=""),
+            shown="<XMApp><XMRef idref='sub'/><XMRef idref='x'/>"
+            "<XMRef idref='i'/></XMApp>",
+        ),
+        # The whole base is reached through a ref.
+        _POWER_OF_X_SUB_I.format(
+            base=_X_SUB_I.format(base_id=" xml:id='base'"),
+            shown="<XMRef idref='base'/>",
+        ),
+    ],
+    ids=["ref-operator", "ref-base"],
+)
+def test_msubsup_fusion_through_refs(xmath):
+    """x_i^2 written with refs into the content branch fuses into one
+    msubsup in both presentation-bearing modes, and checks clean."""
+    pmml = serialize_mathml(build_presentation(parse_xmath(xmath)))
+    assert pmml == (
+        '<math id="m1" class="ltx_Math" xmlns="http://www.w3.org/1998/Math/MathML">'
+        '<msubsup id="m1.1"><mi id="x">x</mi><mi id="i">i</mi><mn id="n">2</mn>'
+        "</msubsup></math>\n"
+    )
+    parallel = read_xml_tree(serialize_mathml(build_parallel(parse_xmath(xmath))))
+    fused = parallel.children[0].children[0]
+    assert fused.element == "msubsup"
+    assert [(c.text, c.attrs["xref"]) for c in fused.children] == [
+        ("x", "x.cmml"),
+        ("i", "i.cmml"),
+        ("2", "n.cmml"),
+    ]
+    assert check_links(parallel).ok
 
 
 def test_incompatible_scriptpos_stays_nested():
