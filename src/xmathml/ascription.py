@@ -110,6 +110,25 @@ class BranchWalk:
             raise MalformedApplyError("XMApp without an operator", node)
         return self.apply(node, container)
 
+    def walk_args(
+        self, node: XMathNode, app: XMathNode, container: XMathNode | None
+    ) -> list[TargetNode]:
+        """Walk the arguments of ``app``, which ``node`` derefs to. Through a
+        ref, the (app, container) pair is held as a ref visit holds it, so
+        that a ref back to ``app`` among them closes a cycle."""
+        key = app.index, -1 if container is None else container.index
+        if node is app or self._made.get(key) is not None:  # no ref, or made
+            return [self.walk(arg, container) for arg in app.children[1:]]
+        if key in self._made:
+            raise ReferenceCycleError("reference cycle via idref", node)
+        self._made[key] = None
+        try:
+            return [self.walk(arg, container) for arg in app.children[1:]]
+        except RecursionError:
+            raise ConversionError("refs nested too deeply to follow", node) from None
+        finally:
+            del self._made[key]
+
 
 def _clone(node: TargetNode) -> TargetNode:
     """Deep copy of a generated subtree that shares no attrs or children."""

@@ -11,9 +11,8 @@ reordered argument slots) instead of a plain apply.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections.abc import Mapping
 from types import MappingProxyType
-from typing import Mapping
 
 from .ascription import BranchWalk
 from .errors import ArityMismatchError, ContentWrapError, ConversionError
@@ -45,21 +44,28 @@ KNOWN_CONTENT_ELEMENTS: Mapping[str, str] = MappingProxyType(
 Term = tuple
 
 
-@dataclass(frozen=True)
-class ExpansionRule:
+class _ReadOnly:
+    """Fields are set once, in ``__init__``; assigning to or deleting one
+    raises AttributeError."""
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class ExpansionRule(_ReadOnly):
     """Rewrites one application into a pragmatic content template."""
 
-    meaning: str
-    arity: int
-    template: Term
-
-    def __post_init__(self) -> None:
-        slots = sorted(_collect_slots(self.template))
-        if slots != list(range(1, self.arity + 1)):
+    def __init__(self, meaning: str, arity: int, template: Term) -> None:
+        slots = sorted(_collect_slots(template))
+        if slots != list(range(1, arity + 1)):
             raise ValueError(
-                f"rule for {self.meaning!r}: template slots {slots} are not "
-                f"a permutation of 1..{self.arity}"
+                f"rule for {meaning!r}: template slots {slots} are not "
+                f"a permutation of 1..{arity}"
             )
+        vars(self).update(meaning=meaning, arity=arity, template=template)
 
 
 def _collect_slots(term: Term) -> list[int]:
@@ -154,11 +160,11 @@ hack-definite-integral    4      (apply head (bvar slot4) (lowlimit slot1) (upli
 """
 
 
-@dataclass(frozen=True)
-class MeaningTable:
+class MeaningTable(_ReadOnly):
     """Expansion rules, by the meaning of the operator they rewrite."""
 
-    expansions: Mapping[str, ExpansionRule]
+    def __init__(self, expansions: Mapping[str, ExpansionRule]) -> None:
+        vars(self)["expansions"] = expansions
 
     @staticmethod
     def default() -> "MeaningTable":

@@ -12,7 +12,6 @@ Wrapper ids skip the issued ids as suffixes do.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 
 from .errors import IdCollisionError
 from .mml import TargetNode
@@ -27,13 +26,24 @@ _LOWERCASE = "abcdefghijklmnopqrstuvwxyz"  # importing string costs ~1.5 ms
 _NOT_XML_CHAR = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
 
 
-@dataclass
 class IdScheme:
-    """Prefix and counter state for id allocation, and the ids last issued."""
+    """Prefix and counter state for id allocation, and the ids last issued;
+    equality and the repr read the prefix and counter only."""
 
-    prefix: str = "m1"
-    next_counter: int = 1
-    issued: set[str] = field(default_factory=set, compare=False, repr=False)
+    def __init__(
+        self, prefix: str = "m1", next_counter: int = 1, issued: set[str] | None = None
+    ) -> None:
+        self.prefix = prefix
+        self.next_counter = next_counter
+        self.issued = set() if issued is None else issued
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.prefix, self.next_counter) == (other.prefix, other.next_counter)
+
+    def __repr__(self) -> str:
+        return f"IdScheme(prefix={self.prefix!r}, next_counter={self.next_counter!r})"
 
     @classmethod
     def infer(cls, doc: XMathDocument) -> "IdScheme":
@@ -243,18 +253,18 @@ def _math(
 # -- link contract validation -----------------------------------------------
 
 
-@dataclass
 class LinkViolation:
-    kind: str
-    message: str
+    def __init__(self, kind: str, message: str) -> None:
+        self.kind = kind
+        self.message = message
 
     def __str__(self) -> str:
         return f"{self.kind}: {self.message}"
 
 
-@dataclass
 class LinkReport:
-    violations: list[LinkViolation] = field(default_factory=list)
+    def __init__(self, violations: list[LinkViolation] | None = None) -> None:
+        self.violations = [] if violations is None else violations
 
     @property
     def ok(self) -> bool:

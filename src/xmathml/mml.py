@@ -2,14 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterator
+from collections.abc import Iterator
 
 from .model import XMathNode
 
 MATHML_NAMESPACE = "http://www.w3.org/1998/Math/MathML"
 
-@dataclass(eq=False, slots=True)
 class TargetNode:
     """One generated MathML node, annotated with its ascribed source.
 
@@ -18,12 +16,23 @@ class TargetNode:
     and never serialized. A node's branch is the tree it is in.
     """
 
-    element: str
-    attrs: dict[str, str] = field(default_factory=dict)
-    children: list["TargetNode"] = field(default_factory=list)
-    text: str | None = None
-    source: XMathNode | None = None
-    origin: XMathNode | None = None
+    __slots__ = ("element", "attrs", "children", "text", "source", "origin")
+
+    def __init__(
+        self,
+        element: str,
+        attrs: dict[str, str] | None = None,
+        children: list[TargetNode] | None = None,
+        text: str | None = None,
+        source: XMathNode | None = None,
+        origin: XMathNode | None = None,
+    ) -> None:
+        self.element = element
+        self.attrs = {} if attrs is None else attrs
+        self.children = [] if children is None else children
+        self.text = text
+        self.source = source
+        self.origin = origin
 
     def iter(self) -> Iterator["TargetNode"]:
         """All nodes of this subtree in document order (pre-order)."""

@@ -17,7 +17,6 @@ Documents are immutable after construction and safe to read concurrently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 
 from .errors import ParseError, ParseErrorKind, ReferenceCycleError
@@ -56,31 +55,66 @@ CONTENT, PRESENTATION = Branch.CONTENT, Branch.PRESENTATION
 _OPPOSITE = (PRESENTATION, CONTENT)
 
 
-@dataclass(slots=True)
 class SemanticAttrs:
     """The eight XMath attributes the converter reads; the parser ignores others."""
 
-    role: str | None = None
-    meaning: str | None = None
-    xml_id: str | None = None
-    idref: str | None = None
-    font: str | None = None
-    mathstyle: str | None = None
-    stretchy: bool | None = None
-    scriptpos: str | None = None
+    __slots__ = (
+        "role", "meaning", "xml_id", "idref", "font", "mathstyle", "stretchy", "scriptpos"
+    )
+
+    def __init__(
+        self,
+        role: str | None = None,
+        meaning: str | None = None,
+        xml_id: str | None = None,
+        idref: str | None = None,
+        font: str | None = None,
+        mathstyle: str | None = None,
+        stretchy: bool | None = None,
+        scriptpos: str | None = None,
+    ) -> None:
+        # One field per statement: a packed assignment builds a tuple.
+        self.role = role
+        self.meaning = meaning
+        self.xml_id = xml_id
+        self.idref = idref
+        self.font = font
+        self.mathstyle = mathstyle
+        self.stretchy = stretchy
+        self.scriptpos = scriptpos
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(getattr(self, n) == getattr(other, n) for n in self.__slots__)
+
+    def __repr__(self) -> str:
+        fields = (f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({', '.join(fields)})"
 
 
-@dataclass(eq=False, slots=True)
 class XMathNode:
     """One node of the XMath tree. Identity equality; never mutated after parse."""
 
-    kind: NodeKind
-    children: list["XMathNode"] = field(default_factory=list)
-    text: str | None = None
-    attrs: SemanticAttrs = field(default_factory=SemanticAttrs)
-    index: int = -1  # document-order position, assigned by XMathDocument
-    line: int = 0
-    col: int = 0
+    __slots__ = ("kind", "children", "text", "attrs", "index", "line", "col")
+
+    def __init__(
+        self,
+        kind: NodeKind,
+        children: list[XMathNode] | None = None,
+        text: str | None = None,
+        attrs: SemanticAttrs | None = None,
+        index: int = -1,  # document-order position, assigned by XMathDocument
+        line: int = 0,
+        col: int = 0,
+    ) -> None:
+        self.kind = kind
+        self.children = [] if children is None else children
+        self.text = text
+        self.attrs = SemanticAttrs() if attrs is None else attrs
+        self.index = index
+        self.line = line
+        self.col = col
 
     def __repr__(self) -> str:  # compact, for test failure output
         bits = [self.kind.value]

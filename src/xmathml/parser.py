@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import re
 import xml.parsers.expat
-from html.entities import html5
 
 from .errors import ParseError, ParseErrorKind
 from .mml import TargetNode
@@ -20,14 +19,6 @@ from .model import ELEMENT_KINDS, NodeKind, SemanticAttrs, XMathDocument, XMathN
 
 #: Wrapper elements tolerated around the actual XMath root.
 WRAPPER_ELEMENTS = frozenset({"Math", "XMath"})
-
-#: The HTML5/MathML named characters, less those whose value holds markup, a
-#: tab or a newline, or is two characters long.
-NAMED_ENTITIES: dict[str, str] = {
-    name[:-1]: value
-    for name, value in html5.items()
-    if name[-1] == ";" and len(value) == 1 and value not in "<>&\"'\t\n"
-}
 
 # Broad on purpose: once expat has read a DTD it skips a reference to an
 # undeclared name, so every name the text could refer to is declared.
@@ -79,9 +70,14 @@ def _read(parser, text: str, start, end, chars) -> None:
             # for itself, so that expat refuses its use where it refuses an
             # undeclared entity. A string that is no XML name fails its own
             # declaration, and expat refuses its reference in the text.
+            # Known: the HTML5 named characters of one character other than
+            # markup, a tab or a newline. The table loads here, not at import.
+            from html.entities import html5
+
             for name in names:
-                value = NAMED_ENTITIES.get(name)
-                value = f"&#{ord(value)};" if value else f"&{name};"
+                char = html5.get(name + ";", "")
+                known = len(char) == 1 and char not in "<>&\"'\t\n"
+                value = f"&#{ord(char)};" if known else f"&{name};"
                 try:
                     parser.ExternalEntityParserCreate(None).Parse(
                         f'<!ENTITY {name} "{value}">', True

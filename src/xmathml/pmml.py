@@ -100,9 +100,11 @@ class _Walk(BranchWalk):
         element = "mrow"
         if role in ("SUPERSCRIPTOP", "SUBSCRIPTOP") and len(args) == 2:
             # The script operator tokens never produce output. An msub under
-            # an msup with the same scriptpos fuses into one msubsup.
+            # an msup with the same scriptpos fuses into one msubsup: the
+            # msub's base and script, then the msup's script.
             element = "msup" if role == "SUPERSCRIPTOP" else "msub"
             inner = self.doc.deref(args[0]) if element == "msup" else None
+            children = []
             if inner is not None and inner.kind is APP and len(inner.children) == 3:
                 inner_op = self.doc.deref(inner.children[0])
                 if (
@@ -110,8 +112,10 @@ class _Walk(BranchWalk):
                     and inner_op.attrs.role == "SUBSCRIPTOP"
                     and inner_op.attrs.scriptpos == op.attrs.scriptpos
                 ):
-                    element, args = "msubsup", [*inner.children[1:], args[1]]
-            children = [self.walk(arg, container) for arg in args]
+                    element = "msubsup"
+                    children = self.walk_args(args[0], inner, container)
+                    args = args[1:]
+            children += [self.walk(arg, container) for arg in args]
         elif role in INFIX_ROLES and len(args) >= 2:
             children = []
             for i, arg in enumerate(args):

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from enum import Enum
 
 from .mml import MATHML_NAMESPACE, TargetNode
@@ -14,11 +13,16 @@ class EntityMode(Enum):
     NUMERIC_REFS = "numeric"
 
 
-@dataclass
 class SerializeOptions:
-    pretty: bool = False
-    entity_mode: EntityMode = EntityMode.UTF8
-    namespace_prefix: str | None = None
+    def __init__(
+        self,
+        pretty: bool = False,
+        entity_mode: EntityMode = EntityMode.UTF8,
+        namespace_prefix: str | None = None,
+    ) -> None:
+        self.pretty = pretty
+        self.entity_mode = entity_mode
+        self.namespace_prefix = namespace_prefix
 
 
 # A raw carriage return would come back as a newline on re-parse (XML

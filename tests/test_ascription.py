@@ -205,6 +205,66 @@ def test_cycle_entered_through_a_third_ref_is_located(build):
     assert text.index("<XMRef xml:id='r2'") + 1 == 196
 
 
+#: msub(x, msup(ref, y)) whose ref leads back to the msub: the msup fuses
+#: with the msub it refs, whose script holds the msup again.
+_FUSED_BASE_CYCLE = (
+    "<XMApp xml:id='p0'><XMTok role='SUBSCRIPTOP' scriptpos='post1'/>"
+    "<XMTok>x</XMTok><XMApp><XMTok role='SUPERSCRIPTOP' scriptpos='post1'/>"
+    "<XMRef idref='p0'/><XMTok>y</XMTok></XMApp></XMApp>"
+)
+
+
+@pytest.mark.parametrize(
+    "build, mode",
+    [(build_parallel, "parallel"), (build_presentation, "pmml"), (build_content, "cmml")],
+)
+def test_cycle_through_fused_base_is_located(build, mode, tmp_path, capsys):
+    """A ref that an msubsup fuses through and that leads back to the msub
+    closes a cycle at that ref, in every mode and in the CLI."""
+    col = _FUSED_BASE_CYCLE.index("<XMRef") + 1
+    with pytest.raises(ReferenceCycleError) as excinfo:
+        build(parse_xmath(_FUSED_BASE_CYCLE))
+    assert (excinfo.value.line, excinfo.value.col) == (1, col) == (1, 135)
+    source = tmp_path / "cycle.xml"
+    source.write_text(_FUSED_BASE_CYCLE, encoding="utf-8")
+    assert main([str(source), "--to", mode]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"{source}:1:{col}: error: reference cycle via idref\n"
+
+
+def _fused_ref_chain(levels: int) -> str:
+    """A dual whose presentation is an msup over a ref to the msub s{levels};
+    each s{k} is (msup over a ref to s{k-1})_i, and s1 is x_i. Every level
+    fuses through a ref; the msubs sit in the content branch."""
+    sub = "<XMTok role='SUBSCRIPTOP' scriptpos='post1'/>"
+    sup = "<XMTok role='SUPERSCRIPTOP' scriptpos='post1'/>"
+    subs = [f"<XMApp xml:id='s1'>{sub}<XMTok>x</XMTok><XMTok>i</XMTok></XMApp>"]
+    for k in range(2, levels + 1):
+        subs.append(
+            f"<XMApp xml:id='s{k}'>{sub}<XMApp>{sup}<XMRef idref='s{k - 1}'/>"
+            "<XMTok>a</XMTok></XMApp><XMTok>i</XMTok></XMApp>"
+        )
+    content = "<XMApp><XMTok meaning='list'/>" + "".join(subs) + "</XMApp>"
+    shown = f"<XMApp>{sup}<XMRef idref='s{levels}'/><XMTok>a</XMTok></XMApp>"
+    return f"<XMDual>{content}{shown}</XMDual>"
+
+
+def test_fused_ref_chain_too_deep_is_located():
+    """Past the interpreter's stack, fusion through refs refuses with a
+    ConversionError at an ``<XMRef``, never a RecursionError, under limits
+    rising until the chain converts."""
+    text = _fused_ref_chain(120)
+    for build in (build_parallel, build_presentation):
+        *refused, math = outcomes_under_rising_limits(lambda: build(parse_xmath(text)))
+        assert refused and not isinstance(math, Exception), (build.__name__, math)
+        assert build is not build_parallel or check_links(math).ok
+        for error in refused:
+            assert isinstance(error, ConversionError), (build.__name__, error)
+            assert "refs nested too deeply to follow" in str(error)
+            assert error.line == 1 and text.startswith("<XMRef", error.col - 1)
+
+
 def _ref_chain(links: int) -> str:
     """A sum whose first term is a ref leading to the token ``r0`` through
     ``links`` refs, each a later term of the sum, so the walks meet the

@@ -2,9 +2,11 @@ from __future__ import annotations
 
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import xmathml
 from xmathml import ConversionError, build_parallel, build_presentation, parse_xmath
 from xmathml.cli import main
 from helpers import (
@@ -372,6 +374,33 @@ def test_stdin_stdout_subprocess(sum_function_xmath):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith(b"<math")
+
+
+_COLD_IMPORT = """
+import sys
+sys.path.insert(0, sys.argv[1])
+before = set(sys.modules)
+import xmathml, xmathml.cli
+heavy = ("dataclasses", "inspect", "typing", "html.entities")
+print(*[name for name in heavy if name in sys.modules and name not in before])
+doc = xmathml.parse_xmath("<XMTok>&alpha;</XMTok>")
+print("html.entities" in sys.modules, ascii(doc.root.text))
+"""
+
+
+def test_cold_import_loads_only_what_conversion_runs():
+    """A fresh interpreter imports the package and its CLI without the
+    modules a conversion never runs; the entity table loads on the first
+    text that names an entity."""
+    src = Path(xmathml.__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", _COLD_IMPORT, str(src)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["", "True '\\u03b1'"]
 
 
 def test_check_mode_rejects_non_parallel(tmp_path, capsys):

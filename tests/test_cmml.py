@@ -283,6 +283,14 @@ def test_default_table_is_shared_and_read_only():
     with pytest.raises(TypeError):
         first.expansions["x"] = first.expansions["hack-definite-integral"]
     assert KNOWN_CONTENT_ELEMENTS["plus"] == "plus"
+    # Neither the table's field nor a rule's can be assigned or deleted.
+    rule = first.expansions["hack-definite-integral"]
+    for record, field in ((first, "expansions"), (rule, "arity"), (rule, "template")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+        with pytest.raises(AttributeError):
+            delattr(record, field)
+    assert rule.arity == 4 and second.expansions["hack-definite-integral"] is rule
 
 
 def test_user_rules_override_builtin():

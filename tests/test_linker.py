@@ -10,6 +10,7 @@ from xmathml import (
     Branch,
     EntityMode,
     IdScheme,
+    LinkReport,
     NodeKind,
     SerializeOptions,
     TargetNode,
@@ -70,6 +71,19 @@ def test_scheme_inference(sum_function_doc, quantum_doc):
 def test_scheme_inference_no_ids():
     doc = parse_xmath("<XMTok>a</XMTok>")
     assert IdScheme.infer(doc) == IdScheme("m1", 1)
+
+
+def test_scheme_and_report_fields():
+    """Keywords, positions and fresh defaults; ``issued`` is outside the
+    scheme's equality and repr."""
+    scheme = IdScheme(prefix="m2", next_counter=5)
+    assert scheme == IdScheme("m2", 5, {"m2.1"}) != IdScheme("m2", 6)
+    assert repr(scheme) == "IdScheme(prefix='m2', next_counter=5)"
+    scheme.issued.add("m2.5")
+    assert IdScheme().issued == set() and IdScheme() == IdScheme("m1", 1)
+    first, second = LinkReport(), LinkReport()
+    first.add("id-missing", "mi")
+    assert (first.lines(), second.violations) == (["id-missing: mi"], [])
 
 
 def test_input_ids_become_bases(sum_function_doc):

@@ -8,6 +8,7 @@ from xmathml import (
     NodeKind,
     ParseError,
     ParseErrorKind,
+    TargetNode,
     XMathDocument,
     parse_xmath,
 )
@@ -56,6 +57,29 @@ def test_resolve_ref_is_single_step():
     middle = doc.resolve_ref(outer)
     assert middle.kind is NodeKind.REF
     assert doc.deref(outer).text == "a"
+
+
+def test_nodes_share_no_mutable_default():
+    """Each node made without children, attributes or attrs gets its own."""
+    first, second = XMathNode(NodeKind.APP), XMathNode(NodeKind.APP)
+    first.children.append(second)
+    first.attrs.role = "ID"
+    assert second.children == [] and second.attrs == SemanticAttrs()
+    assert XMathNode(NodeKind.TOK, [], "a", SemanticAttrs(), 3, 1, 2).col == 2
+    one, two = TargetNode("mrow"), TargetNode("mrow")
+    one.children.append(two)
+    one.attrs["id"] = "m1"
+    assert (two.children, two.attrs) == ([], {})
+
+
+def test_semantic_attrs_compare_and_print_by_value():
+    attrs = SemanticAttrs("ID", "plus", stretchy=True)
+    assert attrs == SemanticAttrs(role="ID", meaning="plus", stretchy=True)
+    assert attrs != SemanticAttrs(role="ID", meaning="plus")
+    assert repr(attrs) == (
+        "SemanticAttrs(role='ID', meaning='plus', xml_id=None, idref=None, "
+        "font=None, mathstyle=None, stretchy=True, scriptpos=None)"
+    )
 
 
 def _tok(text, line, col, **attrs):

@@ -21,7 +21,7 @@ from xmathml import (
 )
 from xmathml.errors import MalformedApplyError
 from xmathml.model import SemanticAttrs, XMathNode
-from helpers import PRESENTATION_ELEMENTS, find, parse_mathml, same_shape
+from helpers import PRESENTATION_ELEMENTS, find, parse_mathml, same_shape, sum_of
 from treegen import random_document
 
 
@@ -215,6 +215,33 @@ def test_msubsup_fusion_through_refs(xmath):
         ("2", "n.cmml"),
     ]
     assert check_links(parallel).ok
+
+
+_SUB_B = (
+    "<XMApp xml:id='b'><XMTok role='SUBSCRIPTOP' scriptpos='post1'/>"
+    "<XMTok>x</XMTok><XMTok>i</XMTok></XMApp>"
+)
+_SUP_B_B = (
+    "<XMApp><XMTok role='SUPERSCRIPTOP' scriptpos='post1'/>"
+    "<XMRef idref='b'/><XMRef idref='b'/></XMApp>"
+)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [sum_of(_SUB_B, _SUP_B_B), sum_of("<XMRef idref='b'/>", _SUP_B_B, _SUB_B)],
+    ids=["base-first", "ref-first"],
+)
+def test_fused_base_shared_with_its_script(text):
+    """{x_i}^{x_i} with base and script both refs to an x_i term, met
+    after that term or after a ref to it: the fused msubsup holds x, i and
+    a copy of the whole msub."""
+    for build in (build_parallel, build_presentation):
+        math = build(parse_xmath(text))
+        fused = find(math, "msubsup")
+        assert [c.element for c in fused.children] == ["mi", "mi", "msub"]
+        assert [c.text for c in fused.children[2].children] == ["x", "i"]
+        assert build is build_presentation or check_links(math).ok
 
 
 def test_incompatible_scriptpos_stays_nested():

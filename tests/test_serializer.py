@@ -32,6 +32,14 @@ NUMERIC = SerializeOptions(entity_mode=EntityMode.NUMERIC_REFS)
 PRETTY = SerializeOptions(pretty=True)
 
 
+def test_options_keep_their_keywords():
+    mode = EntityMode.NUMERIC_REFS
+    opts = SerializeOptions(pretty=True, entity_mode=mode, namespace_prefix="m")
+    assert (opts.pretty, opts.entity_mode, opts.namespace_prefix) == (True, mode, "m")
+    assert SerializeOptions(True).pretty and UTF8.entity_mode is EntityMode.UTF8
+    assert (UTF8.pretty, UTF8.namespace_prefix) == (False, None)
+
+
 def test_empty_mrow():
     out = serialize_mathml(TargetNode("mrow"))
     assert out == '<mrow xmlns="http://www.w3.org/1998/Math/MathML"/>\n'
