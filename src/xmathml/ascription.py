@@ -61,6 +61,12 @@ class BranchWalk:
     the interpreter's stack raises ConversionError. Subclasses set
     ``branch`` and supply ``token`` (a token's unascribed element),
     ``wrap`` and ``apply`` (a non-empty XMApp).
+
+    ``groups`` maps each source's document index to the nodes ascribed
+    to it, in the order they are made. Subclasses target a container
+    before they walk its children, and a copy registers its nodes in
+    pre-order, so each group is in document order and the keys follow
+    first appearance, as ``build_registry`` would group the finished tree.
     """
 
     branch: Branch
@@ -71,6 +77,7 @@ class BranchWalk:
         # (ref target index, container index or -1) -> first subtree made,
         # or None while it is being made.
         self._made: dict[tuple[int, int], TargetNode | None] = {}
+        self.groups: dict[int, list[TargetNode]] = {}
 
     def target(
         self,
@@ -79,9 +86,17 @@ class BranchWalk:
         container: XMathNode | None,
         is_container: bool,
     ) -> TargetNode:
-        """Record the ascribed source and origin on ``built``."""
-        built.source = ascribe(self.doc, self.vis, current, container, is_container)
+        """Record the ascribed source and origin on ``built`` and add it to
+        its source's group."""
+        source = built.source = ascribe(
+            self.doc, self.vis, current, container, is_container
+        )
         built.origin = current
+        group = self.groups.get(source.index)
+        if group is None:
+            self.groups[source.index] = [built]
+        else:
+            group.append(built)
         return built
 
     def walk(self, node: XMathNode, container: XMathNode | None) -> TargetNode:
@@ -94,7 +109,7 @@ class BranchWalk:
             made = self._made.get(key)
             try:
                 if made is not None:
-                    return _clone(made)
+                    return self._clone(made)
                 if key in self._made:  # still being generated: a cycle
                     raise ReferenceCycleError("reference cycle via idref", node)
                 self._made[key] = None
@@ -129,15 +144,21 @@ class BranchWalk:
         finally:
             del self._made[key]
 
+    def _clone(self, node: TargetNode) -> TargetNode:
+        """Deep copy of a subtree made by this walk, with its own attrs and
+        children, each node added to its source's group in pre-order."""
+        copy = _new_node(TargetNode)  # every field is set below
+        copy.element = node.element
+        copy.attrs = node.attrs.copy()
+        copy.text = node.text
+        source = copy.source = node.source
+        copy.origin = node.origin
+        self.groups[source.index].append(copy)  # made here, so grouped here
+        children = node.children
+        # Not list(map()): that starts at 8 slots and keeps them for 4
+        # children, where a comprehension grows the list as generation did.
+        copy.children = [self._clone(child) for child in children] if children else []
+        return copy
 
-def _clone(node: TargetNode) -> TargetNode:
-    """Deep copy of a generated subtree that shares no attrs or children."""
-    children = node.children
-    return TargetNode(
-        node.element,
-        node.attrs.copy(),
-        [_clone(child) for child in children] if children else [],
-        node.text,
-        node.source,
-        node.origin,
-    )
+
+_new_node = object.__new__

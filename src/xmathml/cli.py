@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 
 from .cmml import MeaningTable, load_expansion_table
 from .convert import build_content, build_parallel, build_presentation
@@ -17,7 +16,11 @@ MODES = ("pmml", "cmml", "parallel", "check")
 
 
 def _read_input(path: str) -> str:
-    data = sys.stdin.buffer.read() if path == "-" else Path(path).read_bytes()
+    if path == "-":
+        data = sys.stdin.buffer.read()
+    else:
+        with open(path, "rb") as file:
+            data = file.read()
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -37,7 +40,8 @@ def _write_output(path: str, text: str) -> None:
     if path == "-":
         sys.stdout.write(text)
     else:
-        Path(path).write_text(text, encoding="utf-8")
+        with open(path, "w", encoding="utf-8") as file:
+            file.write(text)
 
 
 def run(args: argparse.Namespace) -> int:
@@ -49,7 +53,8 @@ def run(args: argparse.Namespace) -> int:
     table = MeaningTable.default()
     if args.expansions:
         try:
-            rules = load_expansion_table(Path(args.expansions).read_text("utf-8"))
+            with open(args.expansions, encoding="utf-8") as file:
+                rules = load_expansion_table(file.read())
         except (OSError, ValueError) as exc:
             print(f"{args.expansions}: error: {exc}", file=sys.stderr)
             return 2

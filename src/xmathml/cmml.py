@@ -211,16 +211,18 @@ def gen_cmml(
     doc: XMathDocument, vis: VisibilityMap, table: MeaningTable | None = None
 ) -> TargetNode:
     """Generate the content tree for a whole document."""
-    return _Walk(doc, vis, table or MeaningTable.default()).walk(doc.root, None)
+    return ContentWalk(doc, vis, table).walk(doc.root, None)
 
 
-class _Walk(BranchWalk):
+class ContentWalk(BranchWalk):
     branch = CONTENT
     token = staticmethod(token_to_cmml)
 
-    def __init__(self, doc: XMathDocument, vis: VisibilityMap, table: MeaningTable):
+    def __init__(
+        self, doc: XMathDocument, vis: VisibilityMap, table: MeaningTable | None = None
+    ):
         super().__init__(doc, vis)
-        self.table = table
+        self.table = table or MeaningTable.default()
 
     def wrap(self, node: XMathNode, container: XMathNode | None) -> TargetNode:
         name = node.attrs.xml_id or f"node {node.index}"
@@ -234,8 +236,9 @@ class _Walk(BranchWalk):
         op = self.doc.deref(app.children[0])
         rule = self.table.expansions.get(op.attrs.meaning) if op.kind is TOK else None
         if rule is None:
-            children = [self.walk(child, container) for child in app.children]
-            return self.target(TargetNode("apply", {}, children), app, container, True)
+            built = self.target(TargetNode("apply"), app, container, True)
+            built.children = [self.walk(child, container) for child in app.children]
+            return built
         args = app.children[1:]
         if len(args) != rule.arity:
             raise ArityMismatchError(
@@ -264,7 +267,8 @@ class _Walk(BranchWalk):
         if not subterms:
             # A bare element atom is the operator's manifestation, like head.
             return self.target(TargetNode(name), op, container, False)
-        children = [
+        built = self.target(TargetNode(name), app, container, True)
+        built.children = [
             self._instantiate(sub, app, op, args, container) for sub in subterms
         ]
-        return self.target(TargetNode(name, {}, children), app, container, True)
+        return built

@@ -2,17 +2,18 @@
 
 from __future__ import annotations
 
-from .cmml import MeaningTable, gen_cmml
+from .ascription import BranchWalk
+from .cmml import ContentWalk, MeaningTable
 from .linker import (
+    AscriptionRegistry,
     IdScheme,
     assemble_parallel,
     assemble_single,
     assign_ids,
-    build_registry,
 )
 from .mml import TargetNode
 from .model import TOK, XMathDocument
-from .pmml import LARGEOP_ROLES, gen_pmml
+from .pmml import LARGEOP_ROLES, PresentationWalk
 from .visibility import VisibilityMap, mark_visibility
 
 
@@ -34,6 +35,12 @@ def derive_display(doc: XMathDocument, vis: VisibilityMap) -> str | None:
     return None
 
 
+def _generate(walk: BranchWalk) -> tuple[TargetNode, dict[int, list[TargetNode]]]:
+    """The walk's tree of the whole document, and its nodes grouped by
+    source. The walk's ref memo is freed on return, before the next walk."""
+    return walk.walk(walk.doc.root, None), walk.groups
+
+
 def build_parallel(
     doc: XMathDocument,
     *,
@@ -43,11 +50,10 @@ def build_parallel(
 ) -> TargetNode:
     """Produce the fully cross-referenced parallel math element."""
     vis = mark_visibility(doc)
-    presentation = gen_pmml(doc, vis)
-    content = gen_cmml(doc, vis, table)
+    presentation, pmml_groups = _generate(PresentationWalk(doc, vis))
+    content, cmml_groups = _generate(ContentWalk(doc, vis, table))
     scheme = IdScheme.infer(doc)
-    registry = build_registry(presentation, content)
-    assign_ids(registry, scheme)
+    assign_ids(AscriptionRegistry(pmml_groups, cmml_groups), scheme)
     if display is None:
         display = derive_display(doc, vis)
     return assemble_parallel(
@@ -62,10 +68,9 @@ def build_presentation(
 ) -> TargetNode:
     """Presentation-only math element: ids assigned, no xrefs."""
     vis = mark_visibility(doc)
-    presentation = gen_pmml(doc, vis)
+    presentation, groups = _generate(PresentationWalk(doc, vis))
     scheme = IdScheme.infer(doc)
-    registry = build_registry(pmml=presentation)
-    assign_ids(registry, scheme)
+    assign_ids(AscriptionRegistry(presentation=groups), scheme)
     if display is None:
         display = derive_display(doc, vis)
     return assemble_single(presentation, display=display, scheme=scheme)
@@ -78,8 +83,7 @@ def build_content(
 ) -> TargetNode:
     """Content-only math element: ids assigned, no xrefs."""
     vis = mark_visibility(doc)
-    content = gen_cmml(doc, vis, table)
+    content, groups = _generate(ContentWalk(doc, vis, table))
     scheme = IdScheme.infer(doc)
-    registry = build_registry(cmml=content)
-    assign_ids(registry, scheme)
+    assign_ids(AscriptionRegistry(content=groups), scheme)
     return assemble_single(content, scheme=scheme)

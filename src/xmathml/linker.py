@@ -70,11 +70,20 @@ class AscriptionRegistry:
 
     ``groups[branch]`` maps a source's document index to its nodes in
     that branch's tree, in document order; keys follow first appearance.
-    It is indexed by the ``Branch`` value.
+    It is indexed by the ``Branch`` value. The generators' walks fill
+    such groups as they go and may be handed in here; ``build_registry``
+    fills them from finished trees.
     """
 
-    def __init__(self) -> None:
-        self.groups: tuple[dict[int, list[TargetNode]], ...] = ({}, {})
+    def __init__(
+        self,
+        presentation: dict[int, list[TargetNode]] | None = None,
+        content: dict[int, list[TargetNode]] | None = None,
+    ) -> None:
+        self.groups: tuple[dict[int, list[TargetNode]], ...] = (
+            {} if content is None else content,
+            {} if presentation is None else presentation,
+        )
 
     @property
     def targets(self) -> dict[tuple[int, Branch], list[TargetNode]]:

@@ -183,6 +183,9 @@ class XMathDocument:
         threads that race on an entry store the same end."""
         if node.kind is not REF:
             return node
+        end = self._ends.get(node.index)
+        if end is not None:
+            return end
         seen: set[int] = set()
         while node.kind is REF:
             if node.index in seen:

@@ -80,16 +80,17 @@ def token_to_pmml(tok: XMathNode) -> TargetNode:
 
 def gen_pmml(doc: XMathDocument, vis: VisibilityMap) -> TargetNode:
     """Generate the presentation tree for a whole document."""
-    return _Walk(doc, vis).walk(doc.root, None)
+    return PresentationWalk(doc, vis).walk(doc.root, None)
 
 
-class _Walk(BranchWalk):
+class PresentationWalk(BranchWalk):
     branch = PRESENTATION
     token = staticmethod(token_to_pmml)
 
     def wrap(self, node: XMathNode, container: XMathNode | None) -> TargetNode:
-        children = [self.walk(child, container) for child in node.children]
-        return self.target(TargetNode("mrow", {}, children), node, container, True)
+        row = self.target(TargetNode("mrow"), node, container, True)
+        row.children = [self.walk(child, container) for child in node.children]
+        return row
 
     def apply(self, app: XMathNode, container: XMathNode | None) -> TargetNode:
         op_node = app.children[0]
@@ -98,13 +99,14 @@ class _Walk(BranchWalk):
         role = op.attrs.role if op.kind is TOK else None
 
         element = "mrow"
-        if role in ("SUPERSCRIPTOP", "SUBSCRIPTOP") and len(args) == 2:
+        scripted = role in ("SUPERSCRIPTOP", "SUBSCRIPTOP") and len(args) == 2
+        fused = None
+        if scripted:
             # The script operator tokens never produce output. An msub under
             # an msup with the same scriptpos fuses into one msubsup: the
             # msub's base and script, then the msup's script.
             element = "msup" if role == "SUPERSCRIPTOP" else "msub"
             inner = self.doc.deref(args[0]) if element == "msup" else None
-            children = []
             if inner is not None and inner.kind is APP and len(inner.children) == 3:
                 inner_op = self.doc.deref(inner.children[0])
                 if (
@@ -113,11 +115,15 @@ class _Walk(BranchWalk):
                     and inner_op.attrs.scriptpos == op.attrs.scriptpos
                 ):
                     element = "msubsup"
-                    children = self.walk_args(args[0], inner, container)
-                    args = args[1:]
+                    fused = inner
+        built = self.target(TargetNode(element), app, container, True)
+        children = built.children
+        if scripted:
+            if fused is not None:
+                children += self.walk_args(args[0], fused, container)
+                args = args[1:]
             children += [self.walk(arg, container) for arg in args]
         elif role in INFIX_ROLES and len(args) >= 2:
-            children = []
             for i, arg in enumerate(args):
                 if i:  # one operator token per argument gap
                     gap = token_to_pmml(op)
@@ -128,9 +134,9 @@ class _Walk(BranchWalk):
         else:
             # Prefix layout covers functions, differential operators, large
             # operators and applications whose operator is itself a compound.
-            children = [self.walk(op_node, container)]
+            children.append(self.walk(op_node, container))
             if role == "FUNCTION":
                 af = TargetNode("mo", text=APPLY_FUNCTION)
                 children.append(self.target(af, app, container, False))
             children.extend(self.walk(arg, container) for arg in args)
-        return self.target(TargetNode(element, {}, children), app, container, True)
+        return built

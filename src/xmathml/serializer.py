@@ -42,6 +42,24 @@ _ATTR_SPECIAL = re.compile(r'[&<>"\n\t\r]')
 _NON_ASCII = re.compile(r"[^\x00-\x7f]")
 
 
+#: Entries each memo below holds at most; a full memo starts over.
+_MEMO_CAP = 1024
+# Attribute names, in a node's order -> those after id and xref, sorted.
+_ORDERS: dict[tuple[str, ...], tuple[str, ...]] = {}
+# Per entity mode: attribute value -> its escaped form.
+_ESCAPED_VALUES: dict[EntityMode, dict[str, str]] = {mode: {} for mode in EntityMode}
+
+
+def _remember(memo: dict, key, value):
+    """Store ``value`` under ``key`` in a memo that holds ``_MEMO_CAP``
+    entries at most, and return it. The memos are shared by every call and
+    thread: a miss that races another only computes the same value again."""
+    if len(memo) >= _MEMO_CAP:
+        memo.clear()
+    memo[key] = value
+    return value
+
+
 def _escape_ref(match: re.Match) -> str:
     return _ESCAPES[match.group()]
 
@@ -95,6 +113,7 @@ def serialize_mathml(root: TargetNode, opts: SerializeOptions | None = None) -> 
     parts: list[str] = []
     append = parts.append
     special = _ATTR_SPECIAL.search
+    values = _ESCAPED_VALUES[mode]
     # Escape each text once; ids are unique, so a memo of them would not pay.
     texts: dict[str, str] = {}
     # Ids and xrefs go out as they are and are tested together at the end;
@@ -123,12 +142,17 @@ def serialize_mathml(root: TargetNode, opts: SerializeOptions | None = None) -> 
             if xref is not None:
                 keep(xref)
                 head += f' xref="{xref}"'
-            for key in sorted(attrs):
-                if key != "id" and key != "xref":
-                    value = attrs[key]
-                    if special(value) or numeric and not value.isascii():
-                        value = escape_attr(value, mode)
-                    head += f' {key}="{value}"'
+            names = tuple(attrs)
+            order = _ORDERS.get(names)
+            if order is None:
+                rest = sorted(key for key in names if key != "id" and key != "xref")
+                order = _remember(_ORDERS, names, tuple(rest))
+            for key in order:
+                value = attrs[key]
+                escaped = values.get(value)
+                if escaped is None:
+                    escaped = _remember(values, value, escape_attr(value, mode))
+                head += f' {key}="{escaped}"'
         if node.children:
             append(f"{head}{extra}>{newline}")
             inner = indent + step

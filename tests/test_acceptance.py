@@ -10,6 +10,7 @@ import hashlib
 import time
 
 from xmathml import (
+    Branch,
     ConversionError,
     EntityMode,
     NodeKind,
@@ -18,6 +19,7 @@ from xmathml import (
     build_content,
     build_parallel,
     build_presentation,
+    build_registry,
     check_links,
     gen_cmml,
     gen_pmml,
@@ -25,6 +27,8 @@ from xmathml import (
     parse_xmath,
     serialize_mathml,
 )
+from xmathml.cmml import ContentWalk
+from xmathml.pmml import PresentationWalk
 import idgen
 from conftest import FIXTURES
 from helpers import (
@@ -211,16 +215,9 @@ def _built_or_refused(build, doc):
         return None
 
 
-def test_fine_to_coarse_consistency(corpus):
-    """Each single-branch output is a projection of the parallel output.
-
-    Over the corpus, idgen and sharegen formulas and every XMath fixture
-    and golden: presentation-only output equals the parallel presentation
-    tree ids included (xrefs aside), under the same ``math`` id; content-only
-    output equals the parallel content tree ignoring ids and xrefs, since
-    alone it numbers fresh ids in content order, not after presentation;
-    and an input refused in either single mode is refused in parallel too.
-    """
+def _consistency_docs(corpus) -> list:
+    """The random corpus, idgen and sharegen formulas and every XMath
+    fixture and golden that parses."""
     texts = idgen.formulas(300, seed=1) + shared_documents(30)
     for folder in (FIXTURES, GOLDEN):
         paths = sorted(folder.glob("*.xmath.xml"))
@@ -231,6 +228,20 @@ def test_fine_to_coarse_consistency(corpus):
             docs.append(parse_xmath(text))
         except ParseError:
             pass
+    return docs
+
+
+def test_fine_to_coarse_consistency(corpus):
+    """Each single-branch output is a projection of the parallel output.
+
+    Over the corpus, idgen and sharegen formulas and every XMath fixture
+    and golden: presentation-only output equals the parallel presentation
+    tree ids included (xrefs aside), under the same ``math`` id; content-only
+    output equals the parallel content tree ignoring ids and xrefs, since
+    alone it numbers fresh ids in content order, not after presentation;
+    and an input refused in either single mode is refused in parallel too.
+    """
+    docs = _consistency_docs(corpus)
     matches = 0
     for doc in docs:
         parallel = _built_or_refused(build_parallel, doc)
@@ -255,6 +266,29 @@ def test_fine_to_coarse_consistency(corpus):
     # single modes, 1 also by presentation alone.
     assert (matches, len(docs)) == (1_197, 1_254)
     _report(f"fine-to-coarse consistency ({matches}/{len(docs)} built in every mode)")
+
+
+def test_walk_groups_agree_with_build_registry(corpus):
+    """The groups a generator walk fills as it makes nodes, which the
+    ``build_*`` functions link, are the groups ``build_registry`` finds in
+    the finished tree: the same keys in the same order, holding the same
+    node objects in the same order."""
+    compared = 0
+    for doc in _consistency_docs(corpus):
+        vis = mark_visibility(doc)
+        for walk in (PresentationWalk(doc, vis), ContentWalk(doc, vis)):
+            try:
+                tree = walk.walk(doc.root, None)
+            except ConversionError:
+                continue
+            trees = (tree, None) if walk.branch is Branch.PRESENTATION else (None, tree)
+            expected = build_registry(*trees).groups[walk.branch]
+            # Lists of TargetNode compare their items by identity.
+            assert list(walk.groups.items()) == list(expected.items())
+            compared += 1
+    # 1,254 documents: 6 refused by the presentation walk, 56 by content.
+    assert compared == 2 * 1_254 - 6 - 56
+    _report(f"walk groups agree with build_registry ({compared} trees)")
 
 
 def test_round_trip_corpus(corpus):

@@ -381,7 +381,7 @@ import sys
 sys.path.insert(0, sys.argv[1])
 before = set(sys.modules)
 import xmathml, xmathml.cli
-heavy = ("dataclasses", "inspect", "typing", "html.entities")
+heavy = ("dataclasses", "inspect", "typing", "html.entities", "pathlib")
 print(*[name for name in heavy if name in sys.modules and name not in before])
 doc = xmathml.parse_xmath("<XMTok>&alpha;</XMTok>")
 print("html.entities" in sys.modules, ascii(doc.root.text))

@@ -142,9 +142,9 @@ def test_expansion_slots_match_direct_generation(quantum_doc):
         for node in tree.iter()
         if node.element == "apply" and node.children[0].element == "int"
     )
-    from xmathml.cmml import _Walk
+    from xmathml.cmml import ContentWalk
 
-    walk = _Walk(doc, vis, MeaningTable.default())
+    walk = ContentWalk(doc, vis, MeaningTable.default())
     for slot_index, produced in (
         (3, integral_apply.children[1].children[0]),  # bvar <- slot4
         (0, integral_apply.children[2].children[0]),  # lowlimit <- slot1

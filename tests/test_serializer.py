@@ -15,6 +15,7 @@ from xmathml import (
     read_xml_tree,
     serialize_mathml,
 )
+from xmathml import serializer
 from xmathml.serializer import escape_attr, escape_text
 from helpers import (
     bra_ket_chain,
@@ -65,6 +66,43 @@ def test_attribute_order_id_xref_then_alphabetical():
     )
     out = serialize_mathml(node)
     assert out.startswith('<mo id="x" xref="x.cmml" fence="true" stretchy="false"')
+
+
+def test_attribute_order_ignores_insertion_order():
+    """Two nodes with the same attribute names, inserted in different
+    orders, are written alike, whichever comes first."""
+    names = ("class", "id", "mathvariant", "xref", "cd")
+    for order in (names, names[::-1], names[2:] + names[:2]):
+        node = TargetNode("mi", {name: name + "-value" for name in order}, text="x")
+        out = serialize_mathml(node)
+        assert out.startswith(
+            '<mi id="id-value" xref="xref-value" cd="cd-value" '
+            'class="class-value" mathvariant="mathvariant-value"'
+        )
+
+
+def test_attribute_value_escaped_per_mode():
+    """A value escaped in one mode is not reused in the other."""
+    node = TargetNode("mi", {"id": "v", "class": 'a"\u03b1'}, text="x")
+    assert 'class="a&quot;&#x3B1;"' in serialize_mathml(node, NUMERIC)
+    assert 'class="a&quot;\u03b1"' in serialize_mathml(node, UTF8)
+    assert 'class="a&quot;&#x3B1;"' in serialize_mathml(node, NUMERIC)
+
+
+def test_attribute_memos_stay_bounded():
+    """After more distinct attribute names and values than the memos'
+    cap, each memo holds no more than the cap, and every value is still
+    written right."""
+    count = serializer._MEMO_CAP + 10
+    leaves = [
+        TargetNode("mi", {"id": f"m{i}", f"a{i}": f"v{i}&"}, text="x")
+        for i in range(count)
+    ]
+    for opts in (UTF8, NUMERIC):
+        out = serialize_mathml(TargetNode("mrow", {}, leaves), opts)
+        assert out.count('&amp;"') == count and f'a{count - 1}="v{count - 1}&amp;"' in out
+    memos = (serializer._ORDERS, *serializer._ESCAPED_VALUES.values())
+    assert all(0 < len(memo) <= serializer._MEMO_CAP for memo in memos)
 
 
 def test_escaping():
