@@ -104,7 +104,7 @@ class XMathNode:
         children: list[XMathNode] | None = None,
         text: str | None = None,
         attrs: SemanticAttrs | None = None,
-        index: int = -1,  # document-order position, assigned by XMathDocument
+        index: int = -1,  # document-order position, set as its document is built
         line: int = 0,
         col: int = 0,
     ) -> None:
@@ -138,30 +138,49 @@ class XMathDocument:
     """
 
     def __init__(self, root: XMathNode):
-        self.root = root
-        self.nodes: list[XMathNode] = []
-        self.id_index: dict[str, XMathNode] = {}
-        self._ends: dict[int, XMathNode] = {}  # ref index -> deref result
-        referring: list[XMathNode] = []  # nodes with an idref, in order
+        nodes: list[XMathNode] = []
+        ids: list[XMathNode] = []  # nodes with an xml:id, in order
+        refs: list[XMathNode] = []  # nodes with an idref, in order
         stack = [root]  # pre-order, without a frame per level
         while stack:
             node = stack.pop()
-            node.index = len(self.nodes)
-            self.nodes.append(node)
+            node.index = len(nodes)
+            nodes.append(node)
+            if node.attrs.xml_id is not None:
+                ids.append(node)
             if node.attrs.idref is not None:
-                referring.append(node)
-            xml_id = node.attrs.xml_id
-            if xml_id is not None:
-                if xml_id in self.id_index:
-                    raise ParseError(
-                        ParseErrorKind.DUPLICATE_ID,
-                        node.line,
-                        node.col,
-                        f"duplicate xml:id {xml_id!r}",
-                    )
-                self.id_index[xml_id] = node
+                refs.append(node)
             stack.extend(reversed(node.children))
-        for node in referring:
+        self._index(nodes, ids, refs)
+
+    @classmethod
+    def _indexed(
+        cls, nodes: list[XMathNode], ids: list[XMathNode], refs: list[XMathNode]
+    ) -> "XMathDocument":
+        """The document over ``nodes``, numbered in document order, given
+        with its nodes that carry an xml:id and an idref, each in order."""
+        doc = cls.__new__(cls)
+        doc._index(nodes, ids, refs)
+        return doc
+
+    def _index(
+        self, nodes: list[XMathNode], ids: list[XMathNode], refs: list[XMathNode]
+    ) -> None:
+        self.root = nodes[0]
+        self.nodes = nodes
+        self.id_index: dict[str, XMathNode] = {}
+        self._ends: dict[int, XMathNode] = {}  # ref index -> deref result
+        for node in ids:
+            xml_id = node.attrs.xml_id
+            if xml_id in self.id_index:
+                raise ParseError(
+                    ParseErrorKind.DUPLICATE_ID,
+                    node.line,
+                    node.col,
+                    f"duplicate xml:id {xml_id!r}",
+                )
+            self.id_index[xml_id] = node
+        for node in refs:
             if node.attrs.idref not in self.id_index:
                 raise ParseError(
                     ParseErrorKind.DANGLING_IDREF,

@@ -15,7 +15,7 @@ import xml.parsers.expat
 
 from .errors import ParseError, ParseErrorKind
 from .mml import TargetNode
-from .model import ELEMENT_KINDS, NodeKind, SemanticAttrs, XMathDocument, XMathNode
+from .model import DUAL, ELEMENT_KINDS, REF, TOK, SemanticAttrs, XMathDocument, XMathNode
 
 #: Wrapper elements tolerated around the actual XMath root.
 WRAPPER_ELEMENTS = frozenset({"Math", "XMath"})
@@ -149,25 +149,36 @@ def parse_xmath(text: str) -> XMathDocument:
     exactly, including empty text. Raises ParseError on any rejection;
     duplicate ids and dangling idrefs are found by XMathDocument.
 
-    Nodes are built in the expat callbacks, each column recorded in the
-    text as written. Structural faults are held until the reader has
-    accepted the whole text (a reader fault anywhere wins), and the least
-    is raised: by the start of the element it belongs to, then by rank
-    (0 unknown element, 1 an XMTok's first child, 2 text, 3 an XMRef's
-    children or a wrapper's child count, 4 an XMRef without idref, 5 an
-    XMDual's arity, which belongs to the last element inside the dual),
-    then by arrival.
+    Nodes are built, numbered in document order and indexed in the expat
+    callbacks, each column recorded in the text as written. Structural
+    faults are held until the reader has accepted the whole text (a
+    reader fault anywhere wins), and the least is raised: by the start of
+    the element it belongs to, then by rank (0 unknown element, 1 an
+    XMTok's first child, 2 text, 3 an XMRef's children or a wrapper's
+    child count, 4 an XMRef without idref, 5 an XMDual's arity, which
+    belongs to the last element inside the dual), then by arrival.
+
+    Text is read buffered, in as few pieces as expat allows, so a text
+    fault cannot be located where it is found. When the least fault is
+    one, the text is read once more, unbuffered, to locate it.
     """
-    # Local names: looking up an enum member costs more than most of a
-    # callback.
-    TOK, REF, DUAL = NodeKind.TOK, NodeKind.REF, NodeKind.DUAL
+    return _parse_xmath(text, False)
+
+
+def _parse_xmath(text: str, locate_text: bool) -> XMathDocument:
+    """``parse_xmath``; with ``locate_text``, text is read unbuffered and
+    each text fault is located."""
     parser = xml.parsers.expat.ParserCreate()
-    top: list[XMathNode] = []
+    parser.buffer_text = not locate_text
+    # In start order, which is document order: every XMath node, and the
+    # nodes that carry an xml:id and an idref.
+    nodes: list[XMathNode] = []
+    ids: list[XMathNode] = []
+    refs: list[XMathNode] = []
     stack: list[XMathNode] = []
     # Math/XMath wrappers and unknown elements open as placeholder nodes
-    # of kind None; the wrappers are the bottom len(wrapper_names) ones.
-    # (A document node at the bottom, as in read_xml_tree, would drop top
-    # and the depth test below; it made a one-token parse 12% slower.)
+    # of kind None, outside nodes; the wrappers are the bottom
+    # len(wrapper_names) ones.
     wrapper_names: list[str] = []
     faults: list[tuple] = []
 
@@ -189,6 +200,10 @@ def parse_xmath(text: str) -> XMathDocument:
         kind = _kind_of(name) or _kind_of(name.rpartition(":")[2])
         if kind is not None:
             sem = SemanticAttrs()
+            node = XMathNode(
+                kind, [], "" if kind is TOK else None, sem, len(nodes), line, col
+            )
+            nodes.append(node)
             for key, value in attrs.items():
                 if key == "role":
                     sem.role = value
@@ -196,8 +211,10 @@ def parse_xmath(text: str) -> XMathDocument:
                     sem.meaning = value
                 elif key == "xml:id":
                     sem.xml_id = value
+                    ids.append(node)
                 elif key == "idref":
                     sem.idref = value
+                    refs.append(node)
                 elif key == "font":
                     sem.font = value
                 elif key == "mathstyle":
@@ -206,9 +223,6 @@ def parse_xmath(text: str) -> XMathDocument:
                     sem.scriptpos = value
                 elif key == "stretchy" and value in ("true", "false"):
                     sem.stretchy = value == "true"
-            node = XMathNode(
-                kind, [], "" if kind is TOK else None, sem, -1, line, col
-            )
             if kind is REF and sem.idref is None:
                 hold(node, 4, line, col, "XMRef requires an idref attribute")
         else:
@@ -238,8 +252,6 @@ def parse_xmath(text: str) -> XMathDocument:
                     parent.col,
                     "XMRef cannot contain child elements",
                 )
-        else:
-            top.append(node)
         stack.append(node)
 
     def end(name: str) -> None:
@@ -280,15 +292,20 @@ def parse_xmath(text: str) -> XMathDocument:
                 return  # an unknown element's own fault ranks first
             else:
                 local = node.kind.value
-            # Unbuffered, a run holds no line break: skip its leading spaces.
-            line = parser.CurrentLineNumber
-            col = parser.CurrentColumnNumber + 1 + len(data) - len(data.lstrip(" \t\r\n"))
+            if locate_text:
+                # Unbuffered, a run holds no line break: skip its leading
+                # spaces.
+                line = parser.CurrentLineNumber
+                col = parser.CurrentColumnNumber + 1 + len(data) - len(data.lstrip(" \t\r\n"))
+            else:
+                line = col = 0  # no column is 0: located by a second read
             hold(node, 2, line, col, f"text content not allowed inside {local}")
 
     _read(parser, text, start, end, chars)
     if faults:
-        raise ParseError(*min(faults)[4:])
-    root = top[0]
-    while root.kind is None:  # a fault-free wrapper has exactly one child
-        root = root.children[0]
-    return XMathDocument(root)
+        fault = min(faults)
+        if not fault[6]:
+            _parse_xmath(text, True)  # the same faults, the text located
+        raise ParseError(*fault[4:])
+    # Fault-free, each wrapper holds one element: the first node is the root.
+    return XMathDocument._indexed(nodes, ids, refs)

@@ -68,6 +68,22 @@ def test_scheme_inference(sum_function_doc, quantum_doc):
     assert IdScheme.infer(quantum_doc) == IdScheme("m2", 8)
 
 
+@pytest.mark.parametrize(
+    "ids, expected",
+    [
+        # Any Unicode decimal digits count, as int reads them; a counter
+        # is matched as a prefix, so what follows it does not matter.
+        (["m1.\uff11\uff12"], 13),
+        (["m1.12a"], 13),
+        (["m1.3", "m1.12a", "m1.x", "m1.", "m12.40", "m1\u0660.50", "m1.7"], 13),
+    ],
+)
+def test_scheme_inference_counter_shapes(ids, expected):
+    body = "".join(f'<XMTok xml:id="{xml_id}"/>' for xml_id in ids)
+    doc = parse_xmath(f"<XMApp>{body}</XMApp>")
+    assert IdScheme.infer(doc) == IdScheme("m1", expected)
+
+
 def test_scheme_inference_no_ids():
     doc = parse_xmath("<XMTok>a</XMTok>")
     assert IdScheme.infer(doc) == IdScheme("m1", 1)

@@ -13,8 +13,11 @@ from xmathml import (
     parse_xmath,
 )
 from xmathml.model import SemanticAttrs, XMathNode
+import idgen
+from conftest import FIXTURES
 from helpers import nearest_dual_ancestor, serialize_xmath
-from treegen import random_document
+from sharegen import shared_documents
+from treegen import make_corpus, random_document
 
 
 def _first_dual(doc):
@@ -215,3 +218,38 @@ def test_navigation_does_not_mutate(quantum_doc):
         if node.kind is NodeKind.DUAL:
             doc.top_operator(node)
     assert serialize_xmath(doc) == before
+
+
+def _parity_texts() -> list[str]:
+    """Both fixtures, the goldens, every other fixture, and generated
+    treegen, sharegen and idgen documents."""
+    paths = sorted(FIXTURES.glob("*.xmath.xml"))
+    paths += sorted((FIXTURES.parent.parent / "perfbench" / "golden").glob("*.xmath.xml"))
+    texts = [path.read_text("utf-8") for path in paths]
+    texts += [serialize_xmath(doc) for doc in make_corpus(40, seed=26)]
+    texts += shared_documents(20)
+    texts += idgen.formulas(60, seed=26)
+    return texts
+
+
+def _pre_order(node: XMathNode) -> list[XMathNode]:
+    return [node] + [n for child in node.children for n in _pre_order(child)]
+
+
+def test_parsed_index_matches_a_walk():
+    """The parser numbers and indexes nodes as XMathDocument's walk does."""
+    parsed = 0
+    for text in _parity_texts():
+        try:
+            doc = parse_xmath(text)
+        except ParseError:
+            continue  # a generated fault: nothing is indexed
+        parsed += 1
+        assert doc.nodes == _pre_order(doc.root)
+        assert [node.index for node in doc.nodes] == list(range(len(doc.nodes)))
+        ids = [node.attrs.xml_id for node in doc.nodes if node.attrs.xml_id is not None]
+        assert list(doc.id_index) == ids  # document order: IdScheme.infer reads it
+        walked = XMathDocument(doc.root)
+        assert walked.nodes == doc.nodes
+        assert list(walked.id_index.items()) == list(doc.id_index.items())
+    assert parsed >= 100, parsed

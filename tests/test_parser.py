@@ -566,6 +566,67 @@ def test_node_positions_after_named_entities():
         assert [node.text for node in doc.nodes[1:]] == ["\u2062", "αβ", "ⅈ", "", "&"]
 
 
+# Longer than pyexpat's 8,192-character text buffer.
+_PAST_BUFFER = 9000
+_TEXT_IN_APP = "text content not allowed inside XMApp"
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        # A white-space run past the buffer before the text, on one line,
+        # over many lines, and past the buffer between two line breaks.
+        ("<XMApp><XMTok/>" + " " * _PAST_BUFFER + "x<XMTok/></XMApp>", (1, 9016)),
+        ("<XMApp><XMTok/>" + "  \n" * 3000 + "   x<XMTok/></XMApp>", (3001, 4)),
+        ("<XMApp><XMTok/>\n" + " " * _PAST_BUFFER + "\n\t y</XMApp>", (3, 3)),
+        # A token text past the buffer, then text; text past the buffer.
+        ("<XMApp><XMTok>" + "a" * _PAST_BUFFER + "</XMTok> junk</XMApp>", (1, 9024)),
+        ("<XMApp>" + "x" * _PAST_BUFFER + "<XMTok/></XMApp>", (1, 8)),
+        ("<XMApp>\n" + " " * 100 + "y" * _PAST_BUFFER + "<XMTok/></XMApp>", (2, 101)),
+        # Text split by a comment or a processing instruction.
+        ("<XMApp><XMTok/> <!-- c --> \n y<XMTok/></XMApp>", (2, 2)),
+        ("<XMApp><XMTok/>\n a<!-- c -->b<XMTok/></XMApp>", (2, 2)),
+        ("<XMApp><XMTok/>\n <?pi x?> z</XMApp>", (2, 11)),
+        # Two CDATA sections.
+        ("<XMApp><XMTok/><![CDATA[ ]]><![CDATA[\n x]]></XMApp>", (2, 2)),
+        ("<XMApp><![CDATA[ q ]]><![CDATA[ r]]><XMTok/></XMApp>", (1, 18)),
+    ],
+)
+def test_text_fault_positions_across_buffer_splits(text, expected):
+    """Text is located where it starts, however expat's buffer splits it."""
+    with pytest.raises(ParseError) as excinfo:
+        parse_xmath(text)
+    err = excinfo.value
+    assert (err.kind, err.line, err.col, err.detail) == (
+        ParseErrorKind.MALFORMED_XML,
+        *expected,
+        _TEXT_IN_APP,
+    )
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ("<XMApp> x <XMTok></XMApp>", (1, 20, "mismatched tag")),
+        (
+            "<XMApp><XMTok/>\n stray\n<XMTok>a</XMTok>&bogus;</XMApp>",
+            (3, 17, "undefined entity"),
+        ),
+    ],
+)
+def test_reader_fault_after_text_fault_wins(text, expected):
+    with pytest.raises(ParseError) as excinfo:
+        parse_xmath(text)
+    err = excinfo.value
+    assert (err.kind, err.line, err.col, err.detail) == (ParseErrorKind.MALFORMED_XML, *expected)
+
+
+def test_long_token_text_kept_whole():
+    text = "x" * _PAST_BUFFER + "\n<!-- c -->" + " " * _PAST_BUFFER + "<![CDATA[&]]>y"
+    doc = parse_xmath(f"<XMApp><XMTok>{text}</XMTok></XMApp>")
+    assert doc.nodes[1].text == text.replace("<!-- c -->", "").replace("<![CDATA[&]]>", "&")
+
+
 def test_fixture_roles_are_known(sum_function_xmath, quantum_xmath):
     for text in (sum_function_xmath, quantum_xmath):
         doc = parse_xmath(text)
