@@ -41,6 +41,16 @@ def _located(parser, detail: str) -> ParseError:
     return ParseError(ParseErrorKind.MALFORMED_XML, line, col, detail)
 
 
+def _buffered(text: str):
+    """A fresh expat parser that takes text in as few pieces as expat
+    allows, in a buffer no longer than ``text`` or pyexpat's default. A
+    longer run still arrives in pieces, which the handlers join."""
+    parser = xml.parsers.expat.ParserCreate()
+    parser.buffer_size = min(len(text), 8192) or 1  # pyexpat refuses 0
+    parser.buffer_text = True
+    return parser
+
+
 def _read(parser, text: str, start, end, chars) -> None:
     """Run a fresh expat ``parser`` over ``text`` with the reader's checks.
 
@@ -110,8 +120,7 @@ def read_xml_tree(text: str) -> TargetNode:
     """Parse MathML into a TargetNode tree in the expat callbacks: local
     names, no xmlns attributes, ``xml:`` stripped, text on leaves only.
     Raises ParseError(MALFORMED_XML) on any well-formedness problem."""
-    parser = xml.parsers.expat.ParserCreate()
-    parser.buffer_text = True  # no text is located: take it in one piece
+    parser = _buffered(text)  # no text is located
     # A document node at the bottom of the stack gives every element a
     # parent to join.
     document = TargetNode("")
@@ -168,8 +177,7 @@ def parse_xmath(text: str) -> XMathDocument:
 def _parse_xmath(text: str, locate_text: bool) -> XMathDocument:
     """``parse_xmath``; with ``locate_text``, text is read unbuffered and
     each text fault is located."""
-    parser = xml.parsers.expat.ParserCreate()
-    parser.buffer_text = not locate_text
+    parser = xml.parsers.expat.ParserCreate() if locate_text else _buffered(text)
     # In start order, which is document order: every XMath node, and the
     # nodes that carry an xml:id and an idref.
     nodes: list[XMathNode] = []

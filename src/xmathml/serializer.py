@@ -42,6 +42,9 @@ _ATTR_SPECIAL = re.compile(r'[&<>"\n\t\r]')
 _NON_ASCII = re.compile(r"[^\x00-\x7f]")
 
 
+#: Numeric output joins the parts waiting when a container closes into one
+#: chunk once there are this many.
+_CHUNK_PARTS = 64
 #: Entries each memo below holds at most; a full memo starts over.
 _MEMO_CAP = 1024
 # Attribute names, in a node's order -> those after id and xref, sorted.
@@ -94,6 +97,13 @@ def escape_attr(value: str, mode: EntityMode = EntityMode.UTF8) -> str:
     return value
 
 
+def _need_escapes(values: list[str], numeric: bool) -> bool:
+    """Whether any of ``values`` needs an attribute escape: all are tested
+    at once, in one string freed on return."""
+    joined = "".join(values)
+    return _ATTR_SPECIAL.search(joined) is not None or numeric and not joined.isascii()
+
+
 def serialize_mathml(root: TargetNode, opts: SerializeOptions | None = None) -> str:
     """Serialize a MathML tree to XML text.
 
@@ -101,7 +111,21 @@ def serialize_mathml(root: TargetNode, opts: SerializeOptions | None = None) -> 
     written id, then xref, then the rest alphabetically; the root element
     ends its attributes with the namespace declaration.
     """
-    opts = opts or SerializeOptions()
+    # The writer's memos and closure are freed when it returns, before the join.
+    return "".join(_pieces(root, opts or SerializeOptions()))
+
+
+def _pieces(root: TargetNode, opts: SerializeOptions) -> list[str]:
+    """The text ``serialize_mathml`` returns, in pieces.
+
+    In UTF-8 mode there is a piece per start tag, end tag or leaf. In
+    numeric mode the parts waiting when a container closes are joined
+    into one chunk once there are ``_CHUNK_PARTS`` of them: that output
+    is ASCII, so a chunk costs a byte a character, as its parts did,
+    without their object headers. Joined UTF-8 output would take the
+    width of its widest character: four bytes a character once it holds
+    one outside the BMP, such as a script letter.
+    """
     mode = opts.entity_mode
     numeric = mode is EntityMode.NUMERIC_REFS
     step = "  " if opts.pretty else ""
@@ -112,7 +136,7 @@ def serialize_mathml(root: TargetNode, opts: SerializeOptions | None = None) -> 
     xmlns = f' {xmlns_name}="{MATHML_NAMESPACE}"'
     parts: list[str] = []
     append = parts.append
-    special = _ATTR_SPECIAL.search
+    chunks: list[str] = []
     values = _ESCAPED_VALUES[mode]
     # Escape each text once; ids are unique, so a memo of them would not pay.
     texts: dict[str, str] = {}
@@ -159,6 +183,9 @@ def serialize_mathml(root: TargetNode, opts: SerializeOptions | None = None) -> 
             for child in node.children:
                 emit(child, inner, "")
             append(f"{indent}</{name}>{newline}")
+            if numeric and len(parts) >= _CHUNK_PARTS:
+                chunks.append("".join(parts))
+                parts.clear()
         elif node.text:
             text = node.text
             escaped = texts.get(text)
@@ -169,11 +196,18 @@ def serialize_mathml(root: TargetNode, opts: SerializeOptions | None = None) -> 
             append(f"{head}{extra}/>{newline}")
 
     emit(root, "", xmlns)
-    if special(ids := "".join(written)) or numeric and not ids.isascii():
+    # Numeric output is ASCII but for raw ids and xrefs (and names), so a
+    # chunk that is not says that the tree is written again, with no wide
+    # join of the ids; escaping ids that need none changes nothing.
+    if not all(map(str.isascii, chunks)) or _need_escapes(written, numeric):
+        written.clear()
         parts.clear()
+        chunks.clear()
         escape_ids = True
         emit(root, "", xmlns)
-    del emit, keep, written, ids  # emit refers to itself; freed here, before the join
+    del emit  # emit refers to itself: unbound, it is freed on return
     if not opts.pretty:
         append("\n")
-    return "".join(parts)
+    if chunks:
+        parts[:0] = chunks  # the chunks, then the last run
+    return parts

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import gc
 import sys
+import tracemalloc
 from typing import Any, Callable, Iterable
 
 from xmathml import EntityMode, read_xml_tree
@@ -398,3 +400,17 @@ def _emit(node: XMathNode, depth: int, parts: list[str], pretty: bool) -> None:
         for child in node.children:
             _emit(child, depth + 1, parts, pretty)
         parts.append(f"{indent}</{name}>{newline}")
+
+
+def traced_peak(call, *args) -> int:
+    """The tracemalloc peak, in bytes, of ``call(*args)`` after one
+    untraced call (so one-time fills such as compiled patterns are not
+    counted) and a collection."""
+    call(*args)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        call(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

@@ -264,7 +264,7 @@ def test_fine_to_coarse_consistency(corpus):
         matches += 1
     # The 57 refused in parallel: 51 also by content alone, 5 also by both
     # single modes, 1 also by presentation alone.
-    assert (matches, len(docs)) == (1_197, 1_254)
+    assert (matches, len(docs)) == (1_198, 1_255)
     _report(f"fine-to-coarse consistency ({matches}/{len(docs)} built in every mode)")
 
 
@@ -286,8 +286,8 @@ def test_walk_groups_agree_with_build_registry(corpus):
             # Lists of TargetNode compare their items by identity.
             assert list(walk.groups.items()) == list(expected.items())
             compared += 1
-    # 1,254 documents: 6 refused by the presentation walk, 56 by content.
-    assert compared == 2 * 1_254 - 6 - 56
+    # 1,255 documents: 6 refused by the presentation walk, 56 by content.
+    assert compared == 2 * 1_255 - 6 - 56
     _report(f"walk groups agree with build_registry ({compared} trees)")
 
 

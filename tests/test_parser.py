@@ -13,11 +13,13 @@ from xmathml import (
     ParseError,
     ParseErrorKind,
     SemanticAttrs,
+    build_parallel,
     parse_xmath,
     read_xml_tree,
+    serialize_mathml,
 )
 from conftest import fixture_text
-from helpers import KNOWN_ROLES, serialize_xmath, structurally_equal
+from helpers import KNOWN_ROLES, serialize_xmath, structurally_equal, traced_peak
 from xmathml.parser import MATHML_NESTING_DEPTH, MAX_NESTING_DEPTH
 from treegen import make_corpus, random_document
 
@@ -625,6 +627,19 @@ def test_long_token_text_kept_whole():
     text = "x" * _PAST_BUFFER + "\n<!-- c -->" + " " * _PAST_BUFFER + "<![CDATA[&]]>y"
     doc = parse_xmath(f"<XMApp><XMTok>{text}</XMTok></XMApp>")
     assert doc.nodes[1].text == text.replace("<!-- c -->", "").replace("<![CDATA[&]]>", "&")
+
+
+def test_text_buffer_sized_to_the_input():
+    """A short input reads text through a buffer no longer than itself,
+    not pyexpat's default 8,192 bytes, and a run longer than that buffer,
+    in UTF-8 bytes, still arrives whole."""
+    text = "<XMTok>x</XMTok>"
+    mathml = serialize_mathml(build_parallel(parse_xmath(text)))
+    assert traced_peak(parse_xmath, text) < 14_000
+    assert traced_peak(read_xml_tree, mathml) < 18_000
+    wide = "\U0001d49c" * 40
+    assert parse_xmath(f"<XMTok>{wide}</XMTok>").root.text == wide
+    assert read_xml_tree(f"<mi>{wide}</mi>").text == wide
 
 
 def test_fixture_roles_are_known(sum_function_xmath, quantum_xmath):

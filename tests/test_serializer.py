@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import xml.etree.ElementTree as ET
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,12 +21,16 @@ from xmathml.serializer import escape_attr, escape_text
 from helpers import (
     bra_ket_chain,
     parse_mathml,
+    reference_encode,
     reference_escape_attr,
     reference_escape_text,
     same_shape,
     sum_of,
+    traced_peak,
 )
 from conftest import fixture_text
+from sharegen import shared_documents
+from test_shared_subtrees import SHARED_COUNT, SHARED_OUTPUT_SHA256, shared_output_digest
 from treegen import random_document
 
 UTF8 = SerializeOptions()
@@ -249,21 +254,26 @@ def _fast_path_trees() -> list[TargetNode]:
     return trees
 
 
+def _fast_paths_digest(trees: list[TargetNode]) -> str:
+    digest = hashlib.sha256()
+    for tree in trees:
+        for opts in _FAST_PATH_MODES:
+            digest.update(serialize_mathml(tree, opts).encode("utf-8") + b"\0")
+    return digest.hexdigest()
+
+
 def test_fast_paths_pinned():
     """Escaped ids and xrefs, id/xref-only heads and repeated texts are
     written byte-identically to the recorded output in every mode, and the
     ids come back intact on re-parse."""
     trees = _fast_path_trees()
     assert any("\r" in node.attrs.get("xref", "") for node in trees[1].iter())
-    digest = hashlib.sha256()
     for tree in trees:
         for opts in _FAST_PATH_MODES:
-            text = serialize_mathml(tree, opts)
-            digest.update(text.encode("utf-8") + b"\0")
-            reparsed = read_xml_tree(text)
+            reparsed = read_xml_tree(serialize_mathml(tree, opts))
             assert _id_pairs(reparsed) == _id_pairs(tree)
             assert same_shape(reparsed, tree)
-    assert digest.hexdigest() == FAST_PATHS_DIGEST
+    assert _fast_paths_digest(trees) == FAST_PATHS_DIGEST
 
 
 def _expected_tree(elem: ET.Element) -> tuple:
@@ -326,3 +336,52 @@ def test_lone_escaped_id_or_xref():
                 escaped = escape_attr(value, opts.entity_mode)
                 assert text == clean.replace('"lone"', f'"{escaped}"')
                 assert _id_pairs(read_xml_tree(text)) == _id_pairs(tree)
+
+
+#: Three bra-ket chains of depth 3, whose numeric output spans several
+#: chunks; tests/fixtures/chunked_output.xmath.xml holds their sum.
+_CHAIN_TERMS = tuple(bra_ket_chain(f"p{i}", 3) for i in (1, 2, 3))
+
+
+def _chunked_trees() -> list[TargetNode]:
+    """The sum of the chains, and the same with a term whose ids need an
+    escape, so that its numeric output is written twice."""
+    texts = (sum_of(*_CHAIN_TERMS), sum_of(*_CHAIN_TERMS, _ESCAPED_ID_FORMULA))
+    return [build_parallel(parse_xmath(text)) for text in texts]
+
+
+def test_chunked_fixture_is_three_chains():
+    assert fixture_text("chunked_output.xmath.xml") == sum_of(*_CHAIN_TERMS) + "\n"
+
+
+@pytest.mark.parametrize("chunk_parts", [1, 2, 3])
+def test_chunk_size_keeps_pinned_output(monkeypatch, chunk_parts):
+    """Numeric output joined in chunks of any size is the recorded one."""
+    monkeypatch.setattr(serializer, "_CHUNK_PARTS", chunk_parts)
+    assert _fast_paths_digest(_fast_path_trees()) == FAST_PATHS_DIGEST
+    assert shared_output_digest(shared_documents(SHARED_COUNT))[0] == SHARED_OUTPUT_SHA256
+
+
+def test_numeric_chunks_encode_utf8_output():
+    """Over several chunks, and written again when its ids need an escape,
+    numeric output is the UTF-8 output with each non-ASCII character
+    encoded, in every layout."""
+    trees = _chunked_trees()
+    assert any('"' in node.attrs.get("id", "") for node in trees[1].iter())
+    for tree in trees:
+        tags = sum(2 if node.children else 1 for node in tree.iter())
+        assert tags >= 10 * serializer._CHUNK_PARTS
+        for layout in ({}, {"pretty": True}, {"namespace_prefix": "m"}):
+            utf8 = serialize_mathml(tree, SerializeOptions(**layout))
+            numeric = serialize_mathml(
+                tree, SerializeOptions(entity_mode=EntityMode.NUMERIC_REFS, **layout))
+            assert numeric == reference_encode(utf8, EntityMode.NUMERIC_REFS)
+
+
+def test_numeric_output_peak_is_bounded():
+    """Joined in chunks as it is written, numeric output costs at most
+    2.5 times its length at the serializer's peak: the chunks, then the
+    text they are joined into."""
+    for tree in _chunked_trees():
+        length = len(serialize_mathml(tree, NUMERIC))
+        assert traced_peak(serialize_mathml, tree, NUMERIC) <= 2.5 * length

@@ -67,10 +67,12 @@ def shared_texts() -> list[str]:
     return shared_documents(SHARED_COUNT)
 
 
-def test_shared_generation_pinned(shared_texts):
+def shared_output_digest(texts: list[str]) -> tuple[str, int]:
+    """The SHA-256 that SHARED_OUTPUT_SHA256 pins, over ``texts``, and how
+    many of them are rejected."""
     digest = hashlib.sha256()
     rejected = 0
-    for _, math in _converted(shared_texts):
+    for _, math in _converted(texts):
         if isinstance(math, ConversionError):
             rejected += 1
             digest.update(f"{type(math).__name__}|{math.line}:{math.col}\n".encode())
@@ -82,9 +84,14 @@ def test_shared_generation_pinned(shared_texts):
             branch = branch_of.get(id(node), -1)
             record = (node.element, _index(node.source), branch, _index(node.origin))
             digest.update(f"{record}\n".encode("utf-8"))
+    return digest.hexdigest(), rejected
+
+
+def test_shared_generation_pinned(shared_texts):
+    digest, rejected = shared_output_digest(shared_texts)
     # Most documents convert; the planted faults are few.
     assert 0 < rejected < SHARED_COUNT // 10
-    assert digest.hexdigest() == SHARED_OUTPUT_SHA256
+    assert digest == SHARED_OUTPUT_SHA256
 
 
 def test_shared_documents_amplify(shared_texts):
