@@ -67,6 +67,8 @@ class BranchWalk:
     before they walk its children, and a copy registers its nodes in
     pre-order, so each group is in document order and the keys follow
     first appearance, as ``build_registry`` would group the finished tree.
+    A node walked and then discarded (a fused msubsup's msub) leaves its
+    group, and the key goes if that empties it; a later copy rejoins.
     """
 
     branch: Branch
@@ -125,25 +127,6 @@ class BranchWalk:
             raise MalformedApplyError("XMApp without an operator", node)
         return self.apply(node, container)
 
-    def walk_args(
-        self, node: XMathNode, app: XMathNode, container: XMathNode | None
-    ) -> list[TargetNode]:
-        """Walk the arguments of ``app``, which ``node`` derefs to. Through a
-        ref, the (app, container) pair is held as a ref visit holds it, so
-        that a ref back to ``app`` among them closes a cycle."""
-        key = app.index, -1 if container is None else container.index
-        if node is app or self._made.get(key) is not None:  # no ref, or made
-            return [self.walk(arg, container) for arg in app.children[1:]]
-        if key in self._made:
-            raise ReferenceCycleError("reference cycle via idref", node)
-        self._made[key] = None
-        try:
-            return [self.walk(arg, container) for arg in app.children[1:]]
-        except RecursionError:
-            raise ConversionError("refs nested too deeply to follow", node) from None
-        finally:
-            del self._made[key]
-
     def _clone(self, node: TargetNode) -> TargetNode:
         """Deep copy of a subtree made by this walk, with its own attrs and
         children, each node added to its source's group in pre-order."""
@@ -153,7 +136,10 @@ class BranchWalk:
         copy.text = node.text
         source = copy.source = node.source
         copy.origin = node.origin
-        self.groups[source.index].append(copy)  # made here, so grouped here
+        try:
+            self.groups[source.index].append(copy)
+        except KeyError:  # a fused msub left its group, and its copy rejoins
+            self.groups[source.index] = [copy]
         children = node.children
         # Not list(map()): that starts at 8 slots and keeps them for 4
         # children, where a comprehension grows the list as generation did.

@@ -100,11 +100,11 @@ class PresentationWalk(BranchWalk):
 
         element = "mrow"
         scripted = role in ("SUPERSCRIPTOP", "SUBSCRIPTOP") and len(args) == 2
-        fused = None
         if scripted:
             # The script operator tokens never produce output. An msub under
-            # an msup with the same scriptpos fuses into one msubsup: the
-            # msub's base and script, then the msup's script.
+            # an msup with the same scriptpos fuses into one msubsup: the msub
+            # is walked, its base and script take its place before the msup's
+            # script, and it leaves its source's group.
             element = "msup" if role == "SUPERSCRIPTOP" else "msub"
             inner = self.doc.deref(args[0]) if element == "msup" else None
             if inner is not None and inner.kind is APP and len(inner.children) == 3:
@@ -115,12 +115,16 @@ class PresentationWalk(BranchWalk):
                     and inner_op.attrs.scriptpos == op.attrs.scriptpos
                 ):
                     element = "msubsup"
-                    fused = inner
         built = self.target(TargetNode(element), app, container, True)
         children = built.children
         if scripted:
-            if fused is not None:
-                children += self.walk_args(args[0], fused, container)
+            if element == "msubsup":
+                base = self.walk(args[0], container)
+                group = self.groups[base.source.index]
+                group.remove(base)
+                if not group:
+                    del self.groups[base.source.index]
+                children += base.children
                 args = args[1:]
             children += [self.walk(arg, container) for arg in args]
         elif role in INFIX_ROLES and len(args) >= 2:

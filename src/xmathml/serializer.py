@@ -71,6 +71,14 @@ def _char_ref(match: re.Match) -> str:
     return f"&#x{ord(match.group()):X};"
 
 
+def _escape(value: str, special: re.Pattern, mode: EntityMode) -> str:
+    if special.search(value) is not None:
+        value = special.sub(_escape_ref, value)
+    if mode is EntityMode.NUMERIC_REFS and not value.isascii():
+        value = _NON_ASCII.sub(_char_ref, value)
+    return value
+
+
 def escape_text(value: str, mode: EntityMode = EntityMode.UTF8) -> str:
     """Escape character data for XML output, encoding per ``mode``.
 
@@ -78,11 +86,7 @@ def escape_text(value: str, mode: EntityMode = EntityMode.UTF8) -> str:
     every non-ASCII character becomes ``&#xHEX;``. A string that needs
     none of this is returned as it is.
     """
-    if _TEXT_SPECIAL.search(value) is not None:
-        value = _TEXT_SPECIAL.sub(_escape_ref, value)
-    if mode is EntityMode.NUMERIC_REFS and not value.isascii():
-        value = _NON_ASCII.sub(_char_ref, value)
-    return value
+    return _escape(value, _TEXT_SPECIAL, mode)
 
 
 def escape_attr(value: str, mode: EntityMode = EntityMode.UTF8) -> str:
@@ -90,11 +94,7 @@ def escape_attr(value: str, mode: EntityMode = EntityMode.UTF8) -> str:
 
     Like ``escape_text``, plus ``"``, newline and tab.
     """
-    if _ATTR_SPECIAL.search(value) is not None:
-        value = _ATTR_SPECIAL.sub(_escape_ref, value)
-    if mode is EntityMode.NUMERIC_REFS and not value.isascii():
-        value = _NON_ASCII.sub(_char_ref, value)
-    return value
+    return _escape(value, _ATTR_SPECIAL, mode)
 
 
 def _need_escapes(values: list[str], numeric: bool) -> bool:

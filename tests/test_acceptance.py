@@ -215,20 +215,19 @@ def _built_or_refused(build, doc):
         return None
 
 
-def _consistency_docs(corpus) -> list:
-    """The random corpus, idgen and sharegen formulas and every XMath
-    fixture and golden that parses."""
-    texts = idgen.formulas(300, seed=1) + shared_documents(30)
-    for folder in (FIXTURES, GOLDEN):
-        paths = sorted(folder.glob("*.xmath.xml"))
-        texts += [path.read_text("utf-8") for path in paths]
-    docs = list(corpus)
-    for text in texts:
+def _consistency_docs(corpus) -> tuple[list, list]:
+    """The generated documents: the random corpus, then the idgen and
+    sharegen formulas that parse. Then every XMath fixture and golden."""
+    generated = list(corpus)
+    for text in idgen.formulas(300, seed=1) + shared_documents(30):
         try:
-            docs.append(parse_xmath(text))
+            generated.append(parse_xmath(text))
         except ParseError:
             pass
-    return docs
+    paths = [
+        path for folder in (FIXTURES, GOLDEN) for path in sorted(folder.glob("*.xmath.xml"))
+    ]
+    return generated, [parse_xmath(path.read_text("utf-8")) for path in paths]
 
 
 def test_fine_to_coarse_consistency(corpus):
@@ -241,7 +240,8 @@ def test_fine_to_coarse_consistency(corpus):
     alone it numbers fresh ids in content order, not after presentation;
     and an input refused in either single mode is refused in parallel too.
     """
-    docs = _consistency_docs(corpus)
+    generated, fixtures = _consistency_docs(corpus)
+    docs = generated + fixtures
     matches = 0
     for doc in docs:
         parallel = _built_or_refused(build_parallel, doc)
@@ -262,9 +262,10 @@ def test_fine_to_coarse_consistency(corpus):
             ignore_attrs=("id", "xref"),
         )
         matches += 1
-    # The 57 refused in parallel: 51 also by content alone, 5 also by both
-    # single modes, 1 also by presentation alone.
-    assert (matches, len(docs)) == (1_198, 1_255)
+    # The 57 generated documents refused in parallel: 51 also by content
+    # alone, 5 also by both single modes, 1 also by presentation alone.
+    # Every fixture and golden builds in every mode.
+    assert (matches, len(generated)) == (1_190 + len(fixtures), 1_247)
     _report(f"fine-to-coarse consistency ({matches}/{len(docs)} built in every mode)")
 
 
@@ -274,7 +275,8 @@ def test_walk_groups_agree_with_build_registry(corpus):
     the finished tree: the same keys in the same order, holding the same
     node objects in the same order."""
     compared = 0
-    for doc in _consistency_docs(corpus):
+    generated, fixtures = _consistency_docs(corpus)
+    for doc in generated + fixtures:
         vis = mark_visibility(doc)
         for walk in (PresentationWalk(doc, vis), ContentWalk(doc, vis)):
             try:
@@ -286,8 +288,9 @@ def test_walk_groups_agree_with_build_registry(corpus):
             # Lists of TargetNode compare their items by identity.
             assert list(walk.groups.items()) == list(expected.items())
             compared += 1
-    # 1,255 documents: 6 refused by the presentation walk, 56 by content.
-    assert compared == 2 * 1_255 - 6 - 56
+    # 1,247 generated documents: 6 refused by the presentation walk, 56 by
+    # content. No fixture or golden is refused.
+    assert (len(generated), compared) == (1_247, 2 * (1_247 + len(fixtures)) - 6 - 56)
     _report(f"walk groups agree with build_registry ({compared} trees)")
 
 

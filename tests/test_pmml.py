@@ -229,13 +229,23 @@ _SUP_B_B = (
 
 @pytest.mark.parametrize(
     "text",
-    [sum_of(_SUB_B, _SUP_B_B), sum_of("<XMRef idref='b'/>", _SUP_B_B, _SUB_B)],
-    ids=["base-first", "ref-first"],
+    [
+        sum_of(_SUB_B, _SUP_B_B),
+        sum_of("<XMRef idref='b'/>", _SUP_B_B, _SUB_B),
+        sum_of(
+            f"<XMDual><XMApp><XMTok meaning='list'/>{_SUB_B}</XMApp>"
+            "<XMTok>y</XMTok></XMDual>",
+            _SUP_B_B,
+        ),
+    ],
+    ids=["base-first", "ref-first", "content-only"],
 )
 def test_fused_base_shared_with_its_script(text):
     """{x_i}^{x_i} with base and script both refs to an x_i term, met
-    after that term or after a ref to it: the fused msubsup holds x, i and
-    a copy of the whole msub."""
+    after that term, after a ref to it, or with the term in a content
+    branch only, so that the script copies an msub whose group the fused
+    base emptied: the fused msubsup holds x, i and a copy of the whole
+    msub."""
     for build in (build_parallel, build_presentation):
         math = build(parse_xmath(text))
         fused = find(math, "msubsup")
